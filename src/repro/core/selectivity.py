@@ -27,12 +27,26 @@ nested label component behaves as a virtual child whose matching set equals
 the folded node's, which is exactly the approximation the fold made when it
 unioned the samples.
 
-Memoisation makes one evaluation ``O(|HS| · |p|)`` set operations; results
-per pattern are additionally cached on the estimator (call
-:meth:`SelectivityEstimator.clear_cache` after updating the synopsis).
+Memoisation has two tiers.  Within one evaluation, a per-call cell memo
+over ``(synopsis node, label, pattern node)`` makes it ``O(|HS| · |p|)`` set
+operations.  Across evaluations, the estimator keeps a branch cache: every
+pattern subtree is interned bottom-up to a small integer id from its label
+and its sorted child ids, so canonically equal subtrees share one id, and
+each root branch's unioned view (or best count) is stored under its id.
+Since ``P(p ∧ q)`` root-merges *p* and *q*, a joint estimate is just the
+intersection (or product) of branches ``P(p)`` and ``P(q)`` already
+evaluated.  Whole-pattern results are cached too.  Every cache describes
+the synopsis as it was, so call :meth:`SelectivityEstimator.clear_cache`
+after any synopsis update.
+
+Counter-mode products multiply their factors in ascending order, so an
+estimate never depends on sibling order, nor on which of two canonically
+equal patterns warmed the caches first.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.core.labels import DESCENDANT, label_below
 from repro.core.pattern import TreePattern
@@ -63,6 +77,12 @@ class SelectivityEstimator:
     def __init__(self, synopsis: DocumentSynopsis) -> None:
         self.synopsis = synopsis
         self._selectivity_cache: dict[TreePattern, float] = {}
+        # Subtree id by (label, sorted child ids), and the per-branch
+        # results of root children keyed on those ids.
+        self._subtree_ids: dict[tuple[str, tuple[int, ...]], int] = {}
+        self._branch_views: dict[int, SampleView] = {}
+        self._branch_counts: dict[int, float] = {}
+        self._empty = SampleView.empty(synopsis.hasher)
 
     # ------------------------------------------------------------------
     # public API
@@ -91,12 +111,30 @@ class SelectivityEstimator:
         return self._sel_root_view(CompiledPattern(pattern))
 
     def clear_cache(self) -> None:
-        """Forget per-pattern results after the synopsis has been updated."""
+        """Forget cached results after the synopsis has been updated."""
         self._selectivity_cache.clear()
+        self._subtree_ids.clear()
+        self._branch_views.clear()
+        self._branch_counts.clear()
 
     # ------------------------------------------------------------------
     # shared cursor plumbing
     # ------------------------------------------------------------------
+
+    def _root_branches(self, cp: CompiledPattern) -> list[tuple[int, int]]:
+        """``(node, interned subtree id)`` of each of *cp*'s root children.
+
+        Nodes are compiled in preorder, so a reverse scan interns every
+        child before its parent."""
+        interned = self._subtree_ids
+        ids = [0] * len(cp)
+        for u in range(len(cp) - 1, -1, -1):
+            key = (cp.labels[u], tuple(sorted(ids[c] for c in cp.children[u])))
+            sid = interned.get(key)
+            if sid is None:
+                sid = interned[key] = len(interned)
+            ids[u] = sid
+        return [(u, ids[u]) for u in cp.root_children]
 
     def _cursor_children(self, node: SynopsisNode, label: LabelTree) -> list[_Cursor]:
         """Children of a cursor: real synopsis children when the cursor sits
@@ -115,17 +153,20 @@ class SelectivityEstimator:
     # ------------------------------------------------------------------
 
     def _sel_root_view(self, cp: CompiledPattern) -> SampleView:
-        synopsis = self.synopsis
+        cache = self._branch_views
         memo: dict[tuple[int, int, int], SampleView] = {}
-        root = synopsis.root
+        root = self.synopsis.root
         kids = self._cursor_children(root, root.label)
         branch_views: list[SampleView] = []
-        for u in cp.root_children:
-            view = union_views(
-                [self._sel_view(cp, node, label, u, memo) for node, label in kids]
-            ) if kids else SampleView.empty(synopsis.hasher)
+        for u, sid in self._root_branches(cp):
+            view = cache.get(sid)
+            if view is None:
+                view = union_views(
+                    [self._sel_view(cp, node, label, u, memo) for node, label in kids]
+                ) if kids else self._empty
+                cache[sid] = view
             if view.is_empty():
-                return SampleView.empty(synopsis.hasher)
+                return self._empty
             branch_views.append(view)
         return intersect_views(branch_views)
 
@@ -138,7 +179,7 @@ class SelectivityEstimator:
         memo: dict[tuple[int, int, int], SampleView],
     ) -> SampleView:
         if not label_below(label.tag, cp.labels[u]):
-            return SampleView.empty(self.synopsis.hasher)
+            return self._empty
         # Per-call memo over interned LabelTree nodes; keys die with this
         # traversal and the view is id-independent.
         # reprolint: disable=RL003 -- transient per-call memo key, never persisted
@@ -153,7 +194,7 @@ class SelectivityEstimator:
         elif cp.labels[u] != DESCENDANT:
             kids = self._cursor_children(node, label)
             if not kids:
-                result = SampleView.empty(self.synopsis.hasher)
+                result = self._empty
             else:
                 branch_views: list[SampleView] = []
                 for child_u in pattern_kids:
@@ -167,11 +208,7 @@ class SelectivityEstimator:
                         branch_views = []
                         break
                     branch_views.append(view)
-                result = (
-                    intersect_views(branch_views)
-                    if branch_views
-                    else SampleView.empty(self.synopsis.hasher)
-                )
+                result = intersect_views(branch_views) if branch_views else self._empty
         else:
             # '//': zero-length mapping evaluates the (single) pattern child
             # at this cursor; otherwise descend into each synopsis child.
@@ -196,18 +233,22 @@ class SelectivityEstimator:
         total = float(synopsis.root.summary.count)
         if total <= 0:
             return 0.0
+        cache = self._branch_counts
         memo: dict[tuple[int, int, int], float] = {}
         kids = self._cursor_children(synopsis.root, synopsis.root.label)
-        probability = 1.0
-        for u in cp.root_children:
-            best = max(
-                (self._sel_count(cp, kn, kl, u, memo, total) for kn, kl in kids),
-                default=0.0,
-            )
+        factors: list[float] = []
+        for u, sid in self._root_branches(cp):
+            best = cache.get(sid)
+            if best is None:
+                best = max(
+                    (self._sel_count(cp, kn, kl, u, memo, total) for kn, kl in kids),
+                    default=0.0,
+                )
+                cache[sid] = best
             if best <= 0.0:
                 return 0.0
-            probability *= best / total
-        return probability * total
+            factors.append(best / total)
+        return _product(factors) * total
 
     def _sel_count(
         self,
@@ -233,7 +274,7 @@ class SelectivityEstimator:
             result = float(node.summary.count)
         elif cp.labels[u] != DESCENDANT:
             kids = self._cursor_children(node, label)
-            result = 1.0 if kids else 0.0
+            factors: list[float] = []
             for child_u in pattern_kids:
                 best = max(
                     (
@@ -243,17 +284,17 @@ class SelectivityEstimator:
                     default=0.0,
                 )
                 if best <= 0.0:
-                    result = 0.0
+                    factors = []
                     break
-                result *= best / total
-            result *= total if result else 0.0
+                factors.append(best / total)
+            result = _product(factors) * total if factors else 0.0
         else:
-            zero = 1.0
-            for child_u in pattern_kids:
-                zero *= (
+            zero = _product(
+                [
                     self._sel_count(cp, node, label, child_u, memo, total) / total
-                )
-            zero *= total
+                    for child_u in pattern_kids
+                ]
+            ) * total
             kids = self._cursor_children(node, label)
             deeper = max(
                 (self._sel_count(cp, kn, kl, u, memo, total) for kn, kl in kids),
@@ -294,6 +335,13 @@ class SelectivityEstimator:
         if synopsis.n_documents <= 0:
             return 0.0
         return _clamp(result.estimate_cardinality() / synopsis.n_documents)
+
+
+def _product(factors: list[float]) -> float:
+    """Product of *factors* in ascending order: float multiplication is not
+    associative, and a fixed order makes the result independent of the
+    order the factors were found in."""
+    return math.prod(sorted(factors))
 
 
 def _clamp(value: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.pattern_parser import parse_xpath
 from repro.core.selectivity import SelectivityEstimator
 from repro.synopsis.synopsis import DocumentSynopsis
+from repro.xmltree.tree import XMLTree
 
 
 @pytest.fixture()
@@ -159,10 +160,68 @@ class TestEstimatorMechanics:
         assert sets_estimator.selectivity(pattern) == first
         assert pattern in sets_estimator._selectivity_cache
 
-    def test_clear_cache(self, sets_estimator):
-        sets_estimator.selectivity(parse_xpath("/a"))
-        sets_estimator.clear_cache()
-        assert not sets_estimator._selectivity_cache
+    def test_clear_cache(self, figure2_synopsis_factory):
+        for mode in ("sets", "hashes", "counters"):
+            estimator = SelectivityEstimator(figure2_synopsis_factory(mode=mode))
+            estimator.joint_selectivity(parse_xpath("/a/b"), parse_xpath("//o"))
+            assert estimator._subtree_ids
+            estimator.clear_cache()
+            assert not estimator._selectivity_cache
+            assert not estimator._subtree_ids
+            assert not estimator._branch_views
+            assert not estimator._branch_counts
+
+    @pytest.mark.parametrize("mode", ["sets", "hashes", "counters"])
+    def test_clear_cache_after_insert_equals_fresh(
+        self, figure2_synopsis_factory, mode
+    ):
+        synopsis = figure2_synopsis_factory(mode=mode)
+        estimator = SelectivityEstimator(synopsis)
+        patterns = [
+            parse_xpath(xpath)
+            for xpath in ("/a/b", "//o", "/a[b][c]", "/a/*/q", "/a/c//q")
+        ]
+
+        def answers(est):
+            result = [est.selectivity(p) for p in patterns]
+            result += [est.joint_selectivity(p, q) for p in patterns for q in patterns]
+            if mode != "counters":
+                result += [est.matching_view(p) for p in patterns]
+            return result
+
+        answers(estimator)
+        synopsis.insert_document(
+            XMLTree.from_nested(("a", [("b", ["o"]), ("c", ["q"])]), doc_id=7)
+        )
+        fresh = answers(SelectivityEstimator(synopsis))
+        assert answers(estimator) != fresh  # stale until cleared
+        estimator.clear_cache()
+        assert answers(estimator) == fresh
+
+    def test_joint_reuses_cached_branches(self, sets_estimator):
+        p, q = parse_xpath("/a[b][c]"), parse_xpath("/a/c/q")
+        sets_estimator.selectivity(p)
+        sets_estimator.selectivity(q)
+        assert len(sets_estimator._branch_views) == 2
+        sets_estimator.joint_selectivity(p, q)
+        assert len(sets_estimator._branch_views) == 2
+        # a[c][b] is p's branch with its siblings permuted: only //o is new.
+        sets_estimator.selectivity(parse_xpath("/.[.//o][a[c][b]]"))
+        assert len(sets_estimator._branch_views) == 3
+
+    def test_counter_products_ignore_branch_order(self):
+        # Branch factors 0.8, 0.8 and 0.6: a left-to-right product gives
+        # 0.384 or 0.38400000000000006 depending on the order of the three.
+        synopsis = DocumentSynopsis(mode="counters")
+        for doc_id, kids in enumerate(
+            [["b", "c", "d"]] * 3 + [["b", "c"], []]
+        ):
+            synopsis.insert_document(XMLTree.from_nested(("a", kids), doc_id=doc_id))
+        p, q = parse_xpath("/.[.//b][.//c]"), parse_xpath("//d")
+        warm = SelectivityEstimator(synopsis)
+        warm.joint_selectivity(p, q)
+        fresh = SelectivityEstimator(synopsis)
+        assert warm.joint_selectivity(q, p) == fresh.joint_selectivity(q, p)
 
     def test_estimated_count(self, sets_estimator):
         assert sets_estimator.estimated_count(parse_xpath("/a/b")) == pytest.approx(

@@ -12,11 +12,12 @@ wildcard handling).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pattern import PatternNode, TreePattern
 from repro.core.selectivity import SelectivityEstimator
 from repro.synopsis.synopsis import DocumentSynopsis
 from repro.xmltree.matcher import PatternMatcher, matches
 from repro.xmltree.skeleton import skeleton
-from tests.strategies import tree_patterns, xml_trees
+from tests.strategies import property_max_examples, tree_patterns, xml_trees
 
 
 @st.composite
@@ -103,3 +104,51 @@ def test_hash_estimate_matches_sets_when_unbounded(docs, pattern):
     sets_est = SelectivityEstimator(build_synopsis(docs, mode="sets"))
     hash_est = SelectivityEstimator(build_synopsis(docs, mode="hashes"))
     assert hash_est.selectivity(pattern) == sets_est.selectivity(pattern)
+
+
+def _permuted(children, rng):
+    """*children* in a shuffled order, each with its sibling lists shuffled
+    too: a canonically equal copy."""
+    copies = [PatternNode(c.label, _permuted(c.children, rng)) for c in children]
+    rng.shuffle(copies)
+    return tuple(copies)
+
+
+@st.composite
+def pattern_pools(draw):
+    """Random patterns plus sibling-permuted copies of some of them."""
+    patterns = draw(
+        st.lists(tree_patterns(max_root_children=3), min_size=1, max_size=4)
+    )
+    rng = draw(st.randoms(use_true_random=False))
+    copies = [
+        TreePattern(_permuted(pattern.root_children, rng))
+        for pattern in draw(st.lists(st.sampled_from(patterns), max_size=3))
+    ]
+    return patterns + copies
+
+
+@settings(max_examples=property_max_examples(60), deadline=None)
+@given(corpora(), pattern_pools(), st.data())
+def test_warm_estimator_answers_equal_fresh(docs, pool, data):
+    """A warm estimator's answers are bit-equal to a fresh estimator's
+    under any interleaving of ``P(p)``, ``P(p ∧ q)`` and ``P(q ∧ p)``,
+    whichever canonically equal copy warmed the caches first."""
+    indices = st.integers(min_value=0, max_value=len(pool) - 1)
+    queries = data.draw(
+        st.lists(st.tuples(indices, st.none() | indices), min_size=1, max_size=12)
+    )
+    for mode in ("counters", "sets", "hashes"):
+        # Capacity 3 makes hash samples level up on larger corpora.
+        synopsis = build_synopsis(docs, mode=mode, capacity=3)
+        warm = SelectivityEstimator(synopsis)
+        for i, j in queries:
+            p = pool[i]
+            fresh = SelectivityEstimator(synopsis)
+            if j is None:
+                assert warm.selectivity(p) == fresh.selectivity(p)
+                continue
+            q = pool[j]
+            assert warm.joint_selectivity(p, q) == fresh.joint_selectivity(p, q)
+            fresh = SelectivityEstimator(synopsis)
+            assert warm.joint_selectivity(q, p) == fresh.joint_selectivity(q, p)
