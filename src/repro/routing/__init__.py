@@ -27,7 +27,9 @@ Module map:
   with sublinear trie operations, maintained incrementally under
   covering churn and topology surgery; ``match_batch`` shares one
   cross-document memo pool keyed on interned skeleton keys so repeated
-  document structure in a batch is matched once;
+  document structure in a batch is matched once; :func:`prepare` builds
+  a document's :class:`PreparedDocument` match index once so every
+  broker hop shares it;
 * :mod:`repro.routing.overlay` — the multi-broker overlay: chain / star /
   random-tree topologies, hop-by-hop advertisement with covering pruning,
   reverse-path document routing, per-broker cost accounting, the
@@ -125,7 +127,13 @@ from repro.routing.overlay import (
     SubscriptionId,
 )
 from repro.routing.table import RoutingTable, TableBatchMatch, TableEntry
-from repro.routing.trie import BatchMatch, PatternTrie, TrieMatch
+from repro.routing.trie import (
+    BatchMatch,
+    PatternTrie,
+    PreparedDocument,
+    TrieMatch,
+    prepare,
+)
 
 __all__ = [
     "Community",
@@ -141,6 +149,8 @@ __all__ = [
     "PatternTrie",
     "TrieMatch",
     "BatchMatch",
+    "PreparedDocument",
+    "prepare",
     "BrokerId",
     "BrokerNode",
     "BrokerOverlay",

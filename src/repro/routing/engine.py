@@ -23,6 +23,9 @@ property-tested); what it adds is the timing dimension —
 publication-to-delivery latency percentiles, per-broker queue-depth peaks
 and utilisation, and end-to-end throughput, reported as a
 :class:`~repro.routing.broker.LatencyStats`.
+A publication is prepared (:func:`~repro.routing.trie.prepare`) at its
+first service inside :meth:`DeliveryEngine.run`, and every forwarded copy
+carries that one match index to the brokers it visits.
 
 The queueing discipline is a first-class
 :class:`~repro.routing.policy.SchedulingPolicy`: the engine asks the
@@ -118,6 +121,7 @@ from repro.routing.policy import (
     resolve_queue_policy,
     resolve_scheduling,
 )
+from repro.routing.trie import Document, prepare
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.tree import XMLTree
 
@@ -288,7 +292,9 @@ class _Job:
     attributes.
     """
 
-    document: XMLTree
+    #: The publication, replaced by its prepared match index at its
+    #: first service; forwarded copies inherit the prepared form.
+    document: Document
     doc_index: int
     published_at: float
     #: Link the document arrived over (None at the publish broker).
@@ -1035,6 +1041,7 @@ class DeliveryEngine:
         self._queue_delays.append(now - job.arrived_at)
         self._serviced_documents += 1
         self._service_batches += 1
+        job.document = prepare(job.document)
         step = self.overlay.process_at(broker_id, job.document, job.origin)
         self._match_operations += step.match_operations
         duration = self.service.service_time(step.match_operations)
@@ -1052,6 +1059,8 @@ class DeliveryEngine:
             self._queue_delays.append(now - job.arrived_at)
         self._serviced_documents += len(jobs)
         self._service_batches += 1
+        for job in jobs:
+            job.document = prepare(job.document)
         steps = self.overlay.process_batch_at(
             broker_id,
             [job.document for job in jobs],

@@ -82,8 +82,8 @@ from repro.routing.policy import (
     resolve_advertisement,
 )
 from repro.routing.table import RoutingTable
+from repro.routing.trie import Document, prepare
 from repro.xmltree.corpus import DocumentCorpus
-from repro.xmltree.tree import XMLTree
 
 __all__ = [
     "BrokerId",
@@ -1181,7 +1181,7 @@ class BrokerOverlay:
     def process_at(
         self,
         broker_id: int,
-        document: XMLTree,
+        document: Document,
         arrived_from: Optional[int] = None,
     ) -> BrokerStep:
         """One broker-local filtering step: match *document* against
@@ -1193,6 +1193,9 @@ class BrokerOverlay:
         with respect to delivery semantics — it reads routing state and
         counts match operations, but schedules nothing — which is what
         lets the synchronous walk and the event engine share it.
+        *document* may be raw or already prepared
+        (:func:`~repro.routing.trie.prepare`); callers that visit many
+        brokers pass the prepared form so the match index is built once.
         """
         if broker_id not in self.brokers:
             raise ValueError(f"no broker {broker_id}")
@@ -1219,7 +1222,7 @@ class BrokerOverlay:
     def process_batch_at(
         self,
         broker_id: int,
-        documents: Sequence[XMLTree],
+        documents: Sequence[Document],
         arrived_from: Optional[Sequence[Optional[int]]] = None,
     ) -> list[BrokerStep]:
         """One broker-local filtering pass over a whole queue drain.
@@ -1273,23 +1276,25 @@ class BrokerOverlay:
         return steps
 
     def route(
-        self, document: XMLTree, publish_at: int = 0
+        self, document: Document, publish_at: int = 0
     ) -> tuple[set[int], dict[int, int], int]:
         """Route one document published at *publish_at*, synchronously.
 
         Applies :meth:`process_at` broker by broker in breadth-first
         order.  Returns ``(delivered subscriber ids, match operations per
-        visited broker, inter-broker forwards)``.
+        visited broker, inter-broker forwards)``.  The document is
+        prepared once here and the same match index serves every hop.
         """
         if publish_at not in self.brokers:
             raise ValueError(f"no broker {publish_at}")
+        prepared = prepare(document)
         delivered: set[int] = set()
         operations: dict[int, int] = {}
         forwards = 0
         frontier: list[tuple[int, Optional[int]]] = [(publish_at, None)]
         while frontier:
             broker_id, origin = frontier.pop(0)
-            step = self.process_at(broker_id, document, origin)
+            step = self.process_at(broker_id, prepared, origin)
             operations[broker_id] = (
                 operations.get(broker_id, 0) + step.match_operations
             )

@@ -51,9 +51,8 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.containment import contains
 from repro.core.pattern import TreePattern
-from repro.routing.trie import PatternTrie
+from repro.routing.trie import Document, PatternTrie, PreparedDocument
 from repro.xmltree.matcher import CompiledPattern, PatternMatcher
-from repro.xmltree.tree import XMLTree
 
 __all__ = ["TableEntry", "RoutingTable", "TableBatchMatch"]
 
@@ -541,7 +540,7 @@ class RoutingTable:
 
     def destinations_for(
         self,
-        document: XMLTree,
+        document: Document,
         exclude: Iterable[Destination] = (),
         matching: Optional[str] = None,
     ) -> tuple[list[Destination], int]:
@@ -564,6 +563,11 @@ class RoutingTable:
 
         ``exclude`` destinations are skipped entirely (a broker never
         forwards a document back over the link it arrived on).
+
+        *document* may be an :class:`~repro.xmltree.tree.XMLTree` or a
+        :class:`~repro.routing.trie.PreparedDocument`; passing the
+        prepared form lets every broker a document visits share one
+        match index.
         """
         skip = set(exclude)
         found: list[Destination] = []
@@ -573,13 +577,18 @@ class RoutingTable:
             operations = result.operations
             found = self._ordered(result.destinations, skip)
         else:
+            tree = (
+                document.tree
+                if isinstance(document, PreparedDocument)
+                else document
+            )
             operations = 0
             for destination, patterns in self._by_destination.items():
                 if destination in skip:
                     continue
                 for pattern in patterns:
                     operations += 1
-                    if self._matcher(pattern).matches(document):
+                    if self._matcher(pattern).matches(tree):
                         found.append(destination)
                         break
         self.match_operations += operations
@@ -608,7 +617,7 @@ class RoutingTable:
 
     def destinations_for_batch(
         self,
-        documents: Sequence[XMLTree],
+        documents: Sequence[Document],
         excludes: Optional[Sequence[Iterable[Destination]]] = None,
         matching: Optional[str] = None,
     ) -> TableBatchMatch:

@@ -66,6 +66,11 @@ non-matching pattern therefore collapses into its shared prefix.  This
 count is the filtering-cost unit
 :class:`~repro.routing.table.RoutingTable` reports in trie mode.
 
+Document bookkeeping is not counted: building a document's
+:class:`PreparedDocument` (skeleton ids, label index, ``(parent,
+label)`` child index) costs zero trie operations, so a document costs
+the same operations whether it arrives raw or prepared.
+
 Batched matching
 ----------------
 
@@ -81,12 +86,26 @@ position)``.  Structurally identical subtrees across the batch (common
 under the Zipfian generators) therefore hit the memo instead of being
 re-traversed; aliveness tests share per-tag-set entries, gates share
 per-root-key entries, and a document whose whole skeleton repeats
-costs zero trie operations.  Skeleton-key construction is document
-bookkeeping (like the label index), not trie work, so it is never
-counted as a trie operation — batched operations are guaranteed ≤ the
-sum of the per-document counts.  ``match`` is the batch machinery at
+costs zero trie operations.  ``match`` is the batch machinery at
 batch size one (a fresh pool per call), so the two paths cannot
 drift.
+
+The per-document half of this is a :class:`PreparedDocument`, built by
+:func:`prepare` and independent of any trie or pool: the tree, its tag
+set, doc-local skeleton ids with the table of its distinct shapes, and
+the lazily built label and child indexes.  A pool binds it through a
+thin per-pool state holding only pool skeleton keys, the tag-set key
+and the op counter: the first document of a pool adopts its doc-local
+ids as-is (a fresh interner would assign exactly those), later ones are
+translated through the pool interner over their distinct shapes only,
+and the pool never writes into the prepared document.  So one
+preparation serves every broker a document visits:
+:meth:`~repro.routing.overlay.BrokerOverlay.route` prepares once per
+call, and :class:`~repro.routing.engine.DeliveryEngine` prepares a
+publication at its first service and hands the prepared form to every
+forwarded copy.  Preparation and pool binding are bookkeeping, never
+trie operations (see *Matching cost*), so batched operations are
+guaranteed ≤ the sum of the per-document counts.
 
 Incremental-maintenance invariants
 ----------------------------------
@@ -113,13 +132,19 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence, Union
 
 from repro.core.labels import DESCENDANT, WILDCARD, is_tag
 from repro.core.pattern import PatternNode, TreePattern
 from repro.xmltree.tree import XMLTree
 
-__all__ = ["PatternTrie", "TrieMatch", "BatchMatch"]
+__all__ = [
+    "PatternTrie",
+    "TrieMatch",
+    "BatchMatch",
+    "PreparedDocument",
+    "prepare",
+]
 
 Destination = Hashable
 
@@ -352,41 +377,40 @@ class _BatchMemo:
         return key
 
 
-class _MatchState:
-    """Per-document evaluation state over a shared :class:`_BatchMemo`.
+class PreparedDocument:
+    """One document's match index, built once and shared by every trie.
 
-    Holds what is genuinely per document — the tree, its skeleton keys,
-    the label/child indexes and the op counter — while every memo table
-    lives in the pool and is shared across the batch.
+    Holds everything matching needs that depends on the document alone:
+    the tree, its tag set, its doc-local skeleton ids and the table of
+    its distinct skeleton shapes, plus the label and ``(parent, label)``
+    child indexes.  Nothing here depends on a trie or a memo pool, so a
+    document routed through many brokers — or matched twice in one
+    batch — is prepared once and read everywhere.  The skeleton is
+    built eagerly; the two indexes are built lazily, each written once.
+    Building any of it is document bookkeeping, never counted as a trie
+    operation.  Obtain one through :func:`prepare`.
     """
 
     __slots__ = (
         "tree",
         "n",
         "tag_set",
-        "pool",
         "skel",
-        "root_key",
-        "tags_key",
-        "ops",
+        "shapes",
         "_by_label",
         "_kids_by_label",
     )
 
-    def __init__(self, tree: XMLTree, pool: _BatchMemo) -> None:
+    def __init__(self, tree: XMLTree) -> None:
         self.tree = tree
         self.n = len(tree.labels)
         self.tag_set = tree.tag_set
-        self.pool = pool
-        self.tags_key = pool.tag_key(self.tag_set)
-        # Skeleton keys, bottom-up: the builder appends parents before
+        # Skeleton ids, bottom-up: the builder appends parents before
         # children, so a reverse scan sees every child before its
-        # parent.  Identical sibling subtrees intern to one key —
+        # parent.  Identical sibling subtrees intern to one id —
         # matching only ever quantifies document children existentially,
-        # so the deduplication never changes satisfaction.  This is
-        # document bookkeeping (like the label index), not trie work:
-        # it is deliberately not counted as trie operations.
-        skeleton_keys = pool.skeleton_keys
+        # so the deduplication never changes satisfaction.
+        interner: dict[tuple[str, tuple[int, ...]], int] = {}
         children = tree.children
         labels = tree.labels
         skel = [0] * self.n
@@ -396,33 +420,21 @@ class _MatchState:
                 labels[position],
                 tuple(sorted({skel[kid] for kid in kids})) if kids else (),
             )
-            key = skeleton_keys.get(shape)
+            key = interner.get(shape)
             if key is None:
-                key = len(skeleton_keys)
-                skeleton_keys[shape] = key
+                key = len(interner)
+                interner[shape] = key
             skel[position] = key
-        self.skel = skel
-        self.root_key = skel[tree.root]
-        self.ops = 0
+        #: Doc-local skeleton id per node position.
+        self.skel: tuple[int, ...] = tuple(skel)
+        #: Distinct ``(label, sorted child ids)`` shapes; id ``i`` is
+        #: ``shapes[i]``, in first-seen order of the reverse scan.
+        self.shapes: tuple[tuple[str, tuple[int, ...]], ...] = tuple(interner)
         self._by_label: dict[str, list[int]] | None = None
         self._kids_by_label: dict[tuple[int, str], list[int]] | None = None
 
-    def is_alive(self, node: "_BranchNode") -> bool:
-        """Does the document hold every tag *node* requires?  One memo
-        entry per (constraint, document tag set) across the batch."""
-        pool = self.pool
-        key = self.tags_key * pool.stride + node.node_id
-        alive = pool.alive.get(key)
-        if alive is None:
-            pool.misses += 1
-            self.ops += 1
-            alive = node.tags <= self.tag_set
-            pool.alive[key] = alive
-        else:
-            pool.hits += 1
-        return alive
-
     def label_index(self) -> dict[str, list[int]]:
+        """label → positions, built on first use."""
         if self._by_label is None:
             index: dict[str, list[int]] = {}
             for position, label in enumerate(self.tree.labels):
@@ -431,8 +443,8 @@ class _MatchState:
         return self._by_label
 
     def child_index(self) -> dict[tuple[int, str], list[int]]:
-        """(parent, label) → children, built once per document like
-        :meth:`label_index` and amortised across the whole table."""
+        """(parent, label) → children, built on first use like
+        :meth:`label_index` and amortised across every table."""
         if self._kids_by_label is None:
             index: dict[tuple[int, str], list[int]] = {}
             labels = self.tree.labels
@@ -443,6 +455,78 @@ class _MatchState:
                     ).append(position)
             self._kids_by_label = index
         return self._kids_by_label
+
+    def __repr__(self) -> str:
+        return f"PreparedDocument(nodes={self.n}, shapes={len(self.shapes)})"
+
+
+Document = Union[XMLTree, PreparedDocument]
+
+
+def prepare(document: Document) -> PreparedDocument:
+    """*document*'s match index; idempotent on a prepared document."""
+    if isinstance(document, PreparedDocument):
+        return document
+    return PreparedDocument(document)
+
+
+class _MatchState:
+    """One prepared document bound to a shared :class:`_BatchMemo`.
+
+    Holds only what depends on the pool: the document's pool skeleton
+    keys, its tag-set key and the op counter.  Everything that depends
+    on the document alone lives in the :class:`PreparedDocument`, which
+    the pool reads but never writes.  A fresh pool's interner would
+    assign exactly the doc-local skeleton ids in the same order, so the
+    first document of a pool adopts them as-is; later documents are
+    translated through the pool interner over their distinct shapes
+    only.  Like preparation, this is bookkeeping, not trie work.
+    """
+
+    __slots__ = ("doc", "pool", "skel", "root_key", "tags_key", "ops")
+
+    def __init__(self, doc: PreparedDocument, pool: _BatchMemo) -> None:
+        self.doc = doc
+        self.pool = pool
+        self.tags_key = pool.tag_key(doc.tag_set)
+        skeleton_keys = pool.skeleton_keys
+        skel: Sequence[int]
+        if not skeleton_keys:
+            skeleton_keys.update(zip(doc.shapes, range(len(doc.shapes))))
+            skel = doc.skel
+        else:
+            to_pool: list[int] = []
+            for label, kids in doc.shapes:
+                shape = (
+                    label,
+                    tuple(sorted([to_pool[kid] for kid in kids]))
+                    if kids
+                    else (),
+                )
+                key = skeleton_keys.get(shape)
+                if key is None:
+                    key = len(skeleton_keys)
+                    skeleton_keys[shape] = key
+                to_pool.append(key)
+            skel = [to_pool[local] for local in doc.skel]
+        self.skel = skel
+        self.root_key = skel[doc.tree.root]
+        self.ops = 0
+
+    def is_alive(self, node: "_BranchNode") -> bool:
+        """Does the document hold every tag *node* requires?  One memo
+        entry per (constraint, document tag set) across the batch."""
+        pool = self.pool
+        key = self.tags_key * pool.stride + node.node_id
+        alive = pool.alive.get(key)
+        if alive is None:
+            pool.misses += 1
+            self.ops += 1
+            alive = node.tags <= self.doc.tag_set
+            pool.alive[key] = alive
+        else:
+            pool.hits += 1
+        return alive
 
 
 @dataclass
@@ -641,7 +725,7 @@ class PatternTrie:
     # matching
     # ------------------------------------------------------------------
 
-    def match(self, tree: XMLTree) -> TrieMatch:
+    def match(self, document: Document) -> TrieMatch:
         """One traversal: every matching pattern and destination, plus the
         trie operations spent.
 
@@ -649,9 +733,9 @@ class PatternTrie:
         memo pool per call), so the single-document and batched paths
         share every line of evaluation code and cannot drift.
         """
-        return self.match_batch((tree,)).results[0]
+        return self.match_batch((document,)).results[0]
 
-    def match_batch(self, trees: Iterable[XMLTree]) -> BatchMatch:
+    def match_batch(self, documents: Iterable[Document]) -> BatchMatch:
         """Match every document of a batch through one shared memo pool.
 
         Branch/gate satisfaction, aliveness tests and whole-document
@@ -665,13 +749,13 @@ class PatternTrie:
         """
         results: list[TrieMatch] = []
         if not self._entries:
-            for _ in trees:
+            for _ in documents:
                 results.append(TrieMatch(set(), set(), 0))
             return BatchMatch(results, 0, 0, 0)
         pool = _BatchMemo(max(1, self._next_node_id))
         total = 0
-        for tree in trees:
-            state = _MatchState(tree, pool)
+        for document in documents:
+            state = _MatchState(prepare(document), pool)
             cached = pool.results.get(state.root_key)
             if cached is not None:
                 pool.hits += 1
@@ -733,7 +817,7 @@ class PatternTrie:
                 if alive is None:
                     pool.misses += 1
                     state.ops += 1
-                    alive = member.req_tags <= state.tag_set
+                    alive = member.req_tags <= state.doc.tag_set
                     alive_req[req_key] = alive
                 else:
                     pool.hits += 1
@@ -779,7 +863,7 @@ class PatternTrie:
         state: _MatchState,
         cache: dict,
     ) -> Sequence[int]:
-        tree = state.tree
+        tree = state.doc.tree
         doc_labels = tree.labels
         if axis == _SELF:
             state.ops += 1
@@ -791,9 +875,9 @@ class PatternTrie:
         # required tags include it survived the aliveness filter.
         if axis == _ANYWHERE:
             if label == WILDCARD:
-                candidates: Sequence[int] = range(state.n)
+                candidates: Sequence[int] = range(state.doc.n)
             else:
-                candidates = state.label_index().get(label, ())
+                candidates = state.doc.label_index().get(label, ())
             state.ops += len(candidates)
             return candidates
         if axis == _CHILD:
@@ -808,7 +892,7 @@ class PatternTrie:
                     state.ops += len(kids)
                     found.extend(kids)
             else:
-                child_index = state.child_index()
+                child_index = state.doc.child_index()
                 for anchor in anchors:
                     state.ops += 1
                     kids = child_index.get((anchor, label))
@@ -838,7 +922,7 @@ class PatternTrie:
             # whole document.
             pool: Sequence[int] = cache["scope_sorted"]
         else:
-            pool = state.label_index().get(label, ())
+            pool = state.doc.label_index().get(label, ())
         found: list[int] = []
         for position in pool:
             state.ops += 1
@@ -865,7 +949,7 @@ class PatternTrie:
             return False
         pool.misses += 1
         state.ops += 1
-        tree = state.tree
+        tree = state.doc.tree
         label = node.label
         kids = node.children
         result = False
@@ -908,14 +992,14 @@ class PatternTrie:
             return False
         pool.misses += 1
         state.ops += 1
-        tree = state.tree
+        tree = state.doc.tree
         label = gate.label
         if label == DESCENDANT:
             target = gate.children[0]
             if target.label == WILDCARD:
-                pool: Sequence[int] = range(state.n)
+                pool: Sequence[int] = range(state.doc.n)
             else:
-                pool = state.label_index().get(target.label, ())
+                pool = state.doc.label_index().get(target.label, ())
             result = False
             for position in pool:
                 state.ops += 1

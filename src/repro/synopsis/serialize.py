@@ -77,37 +77,71 @@ def synopsis_to_dict(synopsis: DocumentSynopsis) -> dict:
     return payload
 
 
+def _field(data: Any, key: str) -> Any:
+    """``data[key]``, with a missing key or non-mapping reported as the
+    loader's one error type."""
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"corrupt synopsis: missing {key!r}") from None
+
+
+def _count(data: Any, key: str) -> int:
+    """A non-negative integer field."""
+    value = _field(data, key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(
+            f"corrupt synopsis: {key!r} must be a non-negative int, got {value!r}"
+        )
+    return value
+
+
 def synopsis_from_dict(data: dict) -> DocumentSynopsis:
-    """Rebuild a synopsis from :func:`synopsis_to_dict` output."""
+    """Rebuild a synopsis from :func:`synopsis_to_dict` output.
+
+    Raises :class:`ValueError` on a foreign or corrupt payload — a
+    missing key, a negative document count or hash level, a dangling
+    node id — instead of loading a synopsis that answers wrongly.
+    """
     if data.get("format") != FORMAT_NAME:
         raise ValueError("not a serialised repro synopsis")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported synopsis format version {data.get('version')}")
 
     synopsis = DocumentSynopsis(
-        mode=data["mode"], capacity=data["capacity"], seed=data["seed"]
+        mode=_field(data, "mode"),
+        capacity=_field(data, "capacity"),
+        seed=_field(data, "seed"),
     )
-    synopsis.n_documents = data["n_documents"]
-    synopsis._next_doc_id = data["next_doc_id"]
+    synopsis.n_documents = _count(data, "n_documents")
+    synopsis._next_doc_id = _count(data, "next_doc_id")
 
     # Recreate all nodes first, then wire edges (the graph may be a DAG).
     nodes_by_id: dict[int, SynopsisNode] = {}
     max_id = 0
-    for entry in data["nodes"]:
-        label = _label_from_list(entry["label"])
-        node = SynopsisNode(entry["id"], label, None)
-        node.summary = _summary_from_jsonable(synopsis, entry["summary"])
-        nodes_by_id[entry["id"]] = node
-        max_id = max(max_id, entry["id"])
+    entries = _field(data, "nodes")
+    for entry in entries:
+        node_id = _field(entry, "id")
+        label = _label_from_list(_field(entry, "label"))
+        node = SynopsisNode(node_id, label, None)
+        node.summary = _summary_from_jsonable(synopsis, _field(entry, "summary"))
+        nodes_by_id[node_id] = node
+        max_id = max(max_id, node_id)
     synopsis._next_node_id = max_id + 1
 
-    for entry in data["nodes"]:
-        node = nodes_by_id[entry["id"]]
-        for child_id in entry["children"]:
-            node.add_child(nodes_by_id[child_id])
+    def resolve(node_id: Any) -> SynopsisNode:
+        try:
+            return nodes_by_id[node_id]
+        except (KeyError, TypeError):
+            raise ValueError(f"corrupt synopsis: dangling node id {node_id!r}") from None
 
-    synopsis.root = nodes_by_id[data["root_id"]]
-    if data["pruned"]:
+    for entry in entries:
+        node = nodes_by_id[entry["id"]]
+        for child_id in _field(entry, "children"):
+            node.add_child(resolve(child_id))
+
+    synopsis.root = resolve(_field(data, "root_id"))
+    if _field(data, "pruned"):
         synopsis.mark_pruned()
     else:
         # Rebuild the sets-mode document index for cheap eviction, and the
@@ -120,8 +154,8 @@ def synopsis_from_dict(data: dict) -> DocumentSynopsis:
             synopsis._doc_index = index
     if synopsis.mode == "sets":
         assert synopsis.reservoir is not None
-        synopsis.reservoir._members = list(data["reservoir_members"])
-        synopsis.reservoir._seen = data["n_documents"]
+        synopsis.reservoir._members = list(_field(data, "reservoir_members"))
+        synopsis.reservoir._seen = synopsis.n_documents
     return synopsis
 
 
@@ -132,8 +166,8 @@ def _summary_from_jsonable(synopsis: DocumentSynopsis, data: Any):
         return set(data)
     assert synopsis.hasher is not None
     sample = HashSample(synopsis.hasher, synopsis.capacity)
-    sample.level = int(data["level"])
-    sample.ids = set(data["ids"])
+    sample.level = _count(data, "level")
+    sample.ids = set(_field(data, "ids"))
     return sample
 
 

@@ -9,6 +9,10 @@ Three layers, one contract each:
 * ``RoutingTable.destinations_for_batch`` returns exactly the
   ``destinations_for`` lists (order included) in both matching modes,
   under arbitrary covering churn;
+* a :class:`PreparedDocument` is invisible too: matching one is
+  matching the raw tree (results, operations and memo counters), and
+  one preparation shared across tries and batch positions is never
+  mutated by a memo pool;
 * a :class:`BatchServiceModel` engine delivers exactly the per-document
   sets of the synchronous walk (the unbatched engine's proven
   reference) under all three advertisement policies and across a
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 from repro.routing.engine import BatchServiceModel, DeliveryEngine, LinkModel
 from repro.routing.overlay import BrokerOverlay
 from repro.routing.table import RoutingTable
-from repro.routing.trie import PatternTrie
+from repro.routing.trie import PatternTrie, PreparedDocument, prepare
 from repro.xmltree.corpus import DocumentCorpus
 from tests.strategies import property_max_examples, tree_patterns, xml_trees
 from tests.test_selectivity_properties import corpora
@@ -105,6 +109,72 @@ class TestTrieBatchEquivalence:
         batch = trie.match_batch([document] * copies)
         assert batch.operations == trie.match(document).operations
         assert all(r.operations == 0 for r in batch.results[1:])
+
+
+def loaded_trie(patterns):
+    trie = PatternTrie()
+    for index, pattern in enumerate(patterns):
+        trie.add(pattern, DESTINATIONS[index % len(DESTINATIONS)])
+    return trie
+
+
+def snapshot(prepared):
+    """Everything a prepared document holds, including its lazy indexes."""
+    return (
+        prepared.skel,
+        prepared.shapes,
+        prepared.tag_set,
+        prepared.label_index(),
+        prepared.child_index(),
+    )
+
+
+class TestPreparedDocumentEquivalence:
+    @settings(max_examples=property_max_examples(20), deadline=None)
+    @given(
+        st.lists(tree_patterns(), min_size=1, max_size=6),
+        st.lists(xml_trees(), min_size=1, max_size=5),
+    )
+    def test_prepared_document_matches_like_the_raw_tree(
+        self, patterns, documents
+    ):
+        trie = loaded_trie(patterns)
+        prepared = [prepare(document) for document in documents]
+        for document, ready in zip(documents, prepared, strict=True):
+            assert trie.match(ready) == trie.match(document)
+        # BatchMatch equality covers every per-document TrieMatch plus
+        # the batch's operations, memo_hits and memo_misses.
+        assert trie.match_batch(prepared) == trie.match_batch(documents)
+
+    @settings(max_examples=property_max_examples(20), deadline=None)
+    @given(
+        st.lists(
+            st.lists(tree_patterns(), min_size=1, max_size=5),
+            min_size=2,
+            max_size=4,
+        ),
+        xml_trees(),
+        st.lists(xml_trees(), min_size=1, max_size=3),
+    )
+    def test_shared_preparation_equals_a_fresh_one_every_time(
+        self, pattern_sets, document, others
+    ):
+        shared = prepare(document)
+        assert prepare(shared) is shared
+        before = snapshot(PreparedDocument(document))
+        for patterns in pattern_sets:
+            trie = loaded_trie(patterns)
+            assert trie.match(shared) == trie.match(prepare(document))
+            # Twice in one batch, first and later: once adopted by the
+            # fresh pool, once translated through it.
+            batch = [shared, *others, shared]
+            fresh = [prepare(document), *others, prepare(document)]
+            assert trie.match_batch(batch) == trie.match_batch(fresh)
+            # Later-only: translated on both occurrences.
+            batch = [*others, shared, shared]
+            fresh = [*others, prepare(document), prepare(document)]
+            assert trie.match_batch(batch) == trie.match_batch(fresh)
+        assert snapshot(shared) == before
 
 
 class TestTableBatchEquivalence:

@@ -15,11 +15,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.engine import (
+    BatchServiceModel,
     ClosedLoopSource,
     DeliveryEngine,
     LinkModel,
@@ -30,6 +32,7 @@ from repro.routing.policy import QueuePolicy, WeightedFairScheduling
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
 from tests.strategies import tree_patterns
+from tests.test_overlay import count_preparations
 from tests.test_selectivity_properties import corpora
 
 
@@ -120,6 +123,39 @@ class TestSyncAsyncEquivalence:
             overlay, corpus, 1.0, ServiceModel(), LinkModel()
         )
         assert stats.match_operations == expected_operations
+
+
+class TestPreparedOnce:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        corpora(),
+        st.lists(tree_patterns(), min_size=1, max_size=4),
+        st.sampled_from(sorted(TOPOLOGIES)),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(
+            [ServiceModel(), BatchServiceModel(per_doc=0.1, max_batch=3)]
+        ),
+    )
+    def test_run_prepares_each_publication_once(
+        self, docs, patterns, topology, n_brokers, service
+    ):
+        # "//*" homed on every broker: every copy visits every broker.
+        corpus = DocumentCorpus(docs)
+        everywhere = [parse_xpath("//*")] * n_brokers
+        overlay = build_routed_overlay(
+            topology, n_brokers, patterns + everywhere, "per_subscription",
+            corpus,
+        )
+        engine = DeliveryEngine(overlay, service=service, links=LinkModel())
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            built = count_preparations(monkeypatch)
+            engine.publish_corpus(corpus, rate=1.0)
+            assert built == []
+            stats = engine.run()
+        # Every copy of a publication is serviced on the one prepared
+        # index built at its first service, however many hops it takes.
+        assert sorted(tree.doc_id for tree in built) == list(range(len(docs)))
+        assert stats.serviced_documents == len(docs) * n_brokers
 
 
 def closed_loop_digest() -> str:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pattern_parser import parse_xpath
 from repro.routing.overlay import TOPOLOGIES, BrokerOverlay, SubscriptionId
+from repro.routing.trie import PreparedDocument
 from repro.xmltree.corpus import DocumentCorpus
 
 
@@ -28,6 +29,20 @@ def build_overlay(topology, subscriptions, n_brokers=3):
     overlay = BrokerOverlay.build(topology, n_brokers, seed=7)
     overlay.attach_round_robin(subscriptions)
     return overlay
+
+
+def count_preparations(monkeypatch):
+    """Record every tree a :class:`PreparedDocument` is built from — the
+    real work behind each non-idempotent ``prepare`` call."""
+    built = []
+    original = PreparedDocument.__init__
+
+    def counting(self, tree):
+        built.append(tree)
+        original(self, tree)
+
+    monkeypatch.setattr(PreparedDocument, "__init__", counting)
+    return built
 
 
 def table_signature(overlay):
@@ -241,6 +256,35 @@ class TestProcessAt:
         overlay.advertise_subscriptions()
         with pytest.raises(ValueError):
             overlay.process_at(9, figure2_documents[0])
+
+    def test_route_prepares_each_document_once(
+        self, figure2_documents, subscriptions, monkeypatch
+    ):
+        # "/a" is homed on every broker of the 8-broker tree, so every
+        # document rooted at <a> visits all eight: one preparation must
+        # serve every hop.
+        overlay = build_overlay(
+            "random_tree", subscriptions + [parse_xpath("/a")] * 8, 8
+        )
+        overlay.advertise_subscriptions()
+        built = count_preparations(monkeypatch)
+        for document in figure2_documents:
+            before = len(built)
+            _, operations, _ = overlay.route(document, 0)
+            assert len(operations) == 8
+            assert built[before:] == [document]
+
+    def test_prepared_step_equals_raw_step(
+        self, figure2_documents, subscriptions
+    ):
+        overlay = build_overlay("chain", subscriptions)
+        overlay.advertise_subscriptions()
+        for document in figure2_documents:
+            prepared = PreparedDocument(document)
+            for broker_id in overlay.brokers:
+                assert overlay.process_at(
+                    broker_id, prepared
+                ) == overlay.process_at(broker_id, document)
 
 
 class TestCommunityRouting:

@@ -35,6 +35,15 @@ class TestTopLevelExports:
         for name in imported.__all__:
             assert hasattr(imported, name), f"{module}.{name}"
 
+    def test_prepared_document_exported(self):
+        import repro.routing
+        from repro.routing.trie import PreparedDocument, prepare
+
+        assert "PreparedDocument" in repro.routing.__all__
+        assert "prepare" in repro.routing.__all__
+        assert repro.routing.PreparedDocument is PreparedDocument
+        assert repro.routing.prepare is prepare
+
     def test_quickstart_flow(self):
         """The README quickstart in one test."""
         from repro import (

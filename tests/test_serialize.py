@@ -114,3 +114,47 @@ class TestFormatGuards:
         data["version"] = 99
         with pytest.raises(ValueError):
             synopsis_from_dict(data)
+
+
+@pytest.fixture()
+def ab_payload():
+    """A 20-document hashes synopsis in which ``/a/b`` has P = 0.4."""
+    synopsis = DocumentSynopsis(mode="hashes", capacity=64, seed=1)
+    for doc_id in range(20):
+        child = "b" if doc_id % 5 < 2 else "c"
+        synopsis.insert_document(
+            XMLTree.from_nested(("a", [(child, [])]), doc_id=doc_id)
+        )
+    data = synopsis_to_dict(synopsis)
+    restored = SelectivityEstimator(synopsis_from_dict(data))
+    assert restored.selectivity(parse_xpath("/a/b")) == pytest.approx(0.4)
+    return data
+
+
+def node_labelled(data, tag):
+    return next(entry for entry in data["nodes"] if entry["label"][0] == tag)
+
+
+class TestCorruptPayloads:
+    """Corrupt input raises ValueError, never a wrong answer or a
+    KeyError."""
+
+    def test_rejects_negative_hash_level(self, ab_payload):
+        node_labelled(ab_payload, "b")["summary"]["level"] = -2
+        with pytest.raises(ValueError, match="level"):
+            synopsis_from_dict(ab_payload)
+
+    def test_rejects_negative_document_count(self, ab_payload):
+        ab_payload["n_documents"] = -5
+        with pytest.raises(ValueError, match="n_documents"):
+            synopsis_from_dict(ab_payload)
+
+    def test_rejects_dangling_child_id(self, ab_payload):
+        node_labelled(ab_payload, "a")["children"].append(999)
+        with pytest.raises(ValueError, match="dangling"):
+            synopsis_from_dict(ab_payload)
+
+    def test_rejects_missing_capacity(self, ab_payload):
+        del ab_payload["capacity"]
+        with pytest.raises(ValueError, match="capacity"):
+            synopsis_from_dict(ab_payload)
