@@ -5,8 +5,8 @@ Module map:
 * :mod:`repro.routing.community` — semantic communities:
   :func:`leader_clustering` (online, greedy) and
   :func:`agglomerative_clustering` (offline, average-linkage with
-  incremental linkage maintenance), both able to read a precomputed
-  :class:`~repro.core.similarity.SimilarityMatrix` and both gateable
+  incremental linkage maintenance), both able to read a live
+  :class:`~repro.core.similarity.SimilarityIndex` and both gateable
   by a :class:`~repro.core.candidates.CandidateGenerator`
   (``candidates=``) so only colliding pairs are ever evaluated;
 * :mod:`repro.routing.broker` — the single-broker routing simulation:
@@ -52,8 +52,8 @@ Module map:
   :class:`SchedulingPolicy` disciplines (FIFO, priority with optional
   aging, deadline, weighted-fair) consumed by the delivery engine, and
   :class:`QueuePolicy` bounding broker queues with drop-new /
-  drop-oldest / nack overflow — with string-spelling shims for the
-  legacy flag API;
+  drop-oldest / nack overflow — objects only, checked at every public
+  constructor and builder setter;
 * :mod:`repro.routing.builder` — :class:`OverlayBuilder`, the fluent
   façade composing topology, membership, estimator provider,
   advertisement policy, candidate generator, service/link models and
@@ -61,9 +61,10 @@ Module map:
 * :mod:`repro.routing.engine` — the discrete-event delivery engine:
   seeded, wall-clock-free simulation of the overlay under load, with
   per-broker service queues drained by a swappable
-  :class:`SchedulingPolicy` (:class:`ServiceModel` maps match operations
-  to service time; :class:`BatchServiceModel` drains several queued
-  documents per interval under a measured non-affine cost curve),
+  :class:`SchedulingPolicy` along one drain path (:class:`ServiceModel`
+  drains one document per interval and maps match operations to service
+  time; :class:`BatchServiceModel` drains several queued documents per
+  interval under a measured non-affine cost curve),
   per-link forwarding latencies (:class:`LinkModel`), bounded queues
   with drop/NACK accounting under a conservation ledger
   (offered == completed + dropped + nacked + in-flight), closed-loop
@@ -71,8 +72,9 @@ Module map:
   :class:`SourceReport`), and :class:`LatencyStats` reporting latency
   percentiles — overall and per subscriber class — queue-depth peaks,
   admitted-vs-offered throughput and per-class drop counts — it
-  replays the same ``BrokerOverlay.process_at`` steps as the
-  synchronous path, so delivery sets are identical by construction;
+  filters through ``BrokerOverlay.process_batch_at``, which builds the
+  same per-document steps as the synchronous path's ``process_at``, so
+  delivery sets are identical by construction;
 * :mod:`repro.routing.inclusion` — containment-based inclusion forests,
   the baseline structure the paper's introduction argues is the wrong
   proximity notion for communities.
@@ -113,9 +115,6 @@ from repro.routing.policy import (
     QueuePolicy,
     SchedulingPolicy,
     WeightedFairScheduling,
-    resolve_advertisement,
-    resolve_queue_policy,
-    resolve_scheduling,
 )
 from repro.routing.overlay import (
     TOPOLOGIES,
@@ -173,14 +172,11 @@ __all__ = [
     "PerSubscriptionPolicy",
     "CommunityPolicy",
     "HybridPolicy",
-    "resolve_advertisement",
     "SchedulingPolicy",
     "FifoScheduling",
     "PriorityScheduling",
     "DeadlineScheduling",
     "WeightedFairScheduling",
-    "resolve_scheduling",
     "QueuePolicy",
-    "resolve_queue_policy",
     "OverlayBuilder",
 ]

@@ -2,8 +2,11 @@
 
 The synchronous :meth:`~repro.routing.overlay.BrokerOverlay.route` walk
 answers *where* documents go; under heavy traffic the operational question
-is *when* they arrive.  This module replays the exact same broker-local
-filtering steps (:meth:`~repro.routing.overlay.BrokerOverlay.process_at`)
+is *when* they arrive.  This module replays the same broker-local
+filtering steps (:class:`~repro.routing.overlay.BrokerStep`, built by
+:meth:`~repro.routing.overlay.BrokerOverlay.process_batch_at` exactly as
+the synchronous walk's
+:meth:`~repro.routing.overlay.BrokerOverlay.process_at` builds them)
 through a deterministic discrete-event simulation:
 
 * a single global event queue, ordered by ``(time, sequence number)`` so
@@ -17,7 +20,7 @@ through a deterministic discrete-event simulation:
 * per-link forwarding latencies (:class:`LinkModel`) between neighbouring
   brokers.
 
-Because the engine consumes ``process_at`` unchanged, it delivers exactly
+Because the engine consumes the same steps, it delivers exactly
 the subscriber sets the synchronous path delivers (the equivalence is
 property-tested); what it adds is the timing dimension —
 publication-to-delivery latency percentiles, per-broker queue-depth peaks
@@ -50,20 +53,19 @@ in-service work restarts there, copies already on the wire are
 re-targeted — so no publication loses deliveries to topology churn
 (delivery sets deduplicate per publish).
 
-Batching at saturated brokers is first-class, not an extension point:
-constructing the engine with a :class:`BatchServiceModel` switches every
-broker to *batched queue drains* — when a broker frees up, the
-scheduling policy picks up to ``max_batch`` queued documents (one
-``select`` call per document, so priority/deadline disciplines shape the
-batch exactly as they shape the one-at-a-time schedule) and the whole
-batch is filtered in one
+Every service interval is a *queue drain*, and there is one drain path:
+when a broker frees up, the scheduling policy picks up to the service
+model's :attr:`ServiceModel.drain_limit` queued documents (one
+``select`` call per document, so priority/deadline disciplines shape a
+drain exactly as they shape the one-at-a-time schedule) and the drain is
+filtered in one
 :meth:`~repro.routing.overlay.BrokerOverlay.process_batch_at` pass over
-a shared trie memo pool.  The service interval then costs
-``base + per_doc·documents + per_match·operations`` where *operations*
-is the **measured** memo-amortised batch count — the non-affine
-service curve is observed from the matching layer, never modelled.
-Under the default affine :class:`ServiceModel` the engine's schedule is
-unchanged, event for event.
+a shared trie memo pool.  The affine :class:`ServiceModel` drains one
+document per interval at ``base + per_match·operations``; a
+:class:`BatchServiceModel` drains up to ``max_batch`` at ``base +
+per_doc·documents + per_match·operations``, where *operations* is the
+**measured** memo-amortised drain count — the non-affine service curve
+is observed from the matching layer, never modelled.
 
 Overload is likewise first-class, not an open loop that silently
 diverges.  A :class:`~repro.routing.policy.QueuePolicy` bounds every
@@ -114,12 +116,10 @@ from typing import Callable, Optional, Sequence, Union
 from repro.routing.broker import ClassLatency, LatencyStats, ordered_percentile
 from repro.routing.overlay import BrokerOverlay, BrokerStep
 from repro.routing.policy import (
+    FifoScheduling,
     QueuePolicy,
-    QueuePolicySpec,
     SchedulingPolicy,
-    SchedulingSpec,
-    resolve_queue_policy,
-    resolve_scheduling,
+    require_instance,
 )
 from repro.routing.trie import Document, prepare
 from repro.xmltree.corpus import DocumentCorpus
@@ -149,6 +149,9 @@ class ServiceModel:
     trie matching makes each table sublinear to filter, both of which
     shrink match operations, hence service time — exactly the knobs this
     model exposes to the latency benchmark.
+
+    The engine drains one document per service interval under this
+    model: a drain of one with no per-document charge.
     """
 
     base: float = 0.2
@@ -160,8 +163,20 @@ class ServiceModel:
         if self.base <= 0.0 and self.per_match <= 0.0:
             raise ValueError("service time must be positive")
 
+    @property
+    def drain_limit(self) -> int:
+        """Most queued documents one service interval drains."""
+        return 1
+
     def service_time(self, match_operations: int) -> float:
         """Simulated time to service one document at one broker."""
+        return self.service_time_batch(match_operations, 1)
+
+    def service_time_batch(
+        self, match_operations: int, documents: int
+    ) -> float:
+        """Simulated time to service *documents* jobs in one interval;
+        the affine model charges nothing per document."""
         return self.base + self.per_match * match_operations
 
 
@@ -170,7 +185,7 @@ class BatchServiceModel(ServiceModel):
     """Batched broker service: one interval drains a whole batch.
 
     Handing an engine this model (instead of the affine
-    :class:`ServiceModel`) enables batched queue drains: a freed broker
+    :class:`ServiceModel`) widens its queue drains: a freed broker
     services up to ``max_batch`` scheduling-policy-selected documents in
     one interval of
 
@@ -187,8 +202,7 @@ class BatchServiceModel(ServiceModel):
 
     per_doc: float = 0.05
     #: Most documents one drain may service; 1 degrades to unbatched
-    #: drains (still paying ``per_doc``, still matched via the batch
-    #: pipeline).
+    #: drains (still paying ``per_doc``).
     max_batch: int = 8
 
     def __post_init__(self) -> None:
@@ -199,9 +213,10 @@ class BatchServiceModel(ServiceModel):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
 
-    def service_time(self, match_operations: int) -> float:
-        """One document serviced alone — a batch of one."""
-        return self.service_time_batch(match_operations, 1)
+    @property
+    def drain_limit(self) -> int:
+        """Most queued documents one service interval drains."""
+        return self.max_batch
 
     def service_time_batch(
         self, match_operations: int, documents: int
@@ -319,10 +334,8 @@ class _Job:
 class _Batch:
     """One in-service queue drain: the jobs and their filtering steps.
 
-    The completion payload of a batched service interval (only
-    :class:`BatchServiceModel` engines create these).  Jobs and steps
-    are aligned; deliveries and forwards apply per job at completion,
-    exactly as an unbatched job's single step would.
+    The completion payload of every service interval.  Jobs and steps
+    are aligned; deliveries and forwards apply per job at completion.
     """
 
     jobs: list[_Job]
@@ -453,10 +466,17 @@ class DeliveryEngine:
     """Deterministic discrete-event simulator of overlay delivery.
 
     Drives documents through *overlay*'s live routing state: publishes
-    schedule arrival events, each broker services its FIFO queue one
-    document at a time under *service*, and completed services deliver
-    locally and forward over *links*.  All state advances through the
-    event queue only — identical inputs replay identically.
+    schedule arrival events, each broker drains its queue under
+    *service* (see :attr:`ServiceModel.drain_limit`), and completed
+    services deliver locally and forward over *links*.  All state
+    advances through the event queue only — identical inputs replay
+    identically.
+
+    *scheduling* must be a
+    :class:`~repro.routing.policy.SchedulingPolicy` and *queue_policy* a
+    :class:`~repro.routing.policy.QueuePolicy` (``None`` selects
+    :class:`~repro.routing.policy.FifoScheduling` and the unbounded
+    ``QueuePolicy()``); anything else raises ``TypeError``.
     """
 
     def __init__(
@@ -464,30 +484,29 @@ class DeliveryEngine:
         overlay: BrokerOverlay,
         service: Optional[ServiceModel] = None,
         links: Optional[LinkModel] = None,
-        scheduling: Optional[SchedulingSpec] = None,
-        queue_policy: QueuePolicySpec = None,
+        scheduling: Optional[SchedulingPolicy] = None,
+        queue_policy: Optional[QueuePolicy] = None,
         allow_topology_churn: bool = False,
     ) -> None:
         if overlay.mode is None:
             raise ValueError(
-                "no routing state: call advertise() (or the legacy "
-                "advertise_subscriptions()/advertise_communities()) "
-                "before building an engine"
+                "no routing state: call overlay.advertise(policy) before "
+                "building an engine"
             )
+        if scheduling is None:
+            scheduling = FifoScheduling()
+        if queue_policy is None:
+            queue_policy = QueuePolicy()
+        require_instance(scheduling, SchedulingPolicy, "scheduling")
+        require_instance(queue_policy, QueuePolicy, "queue_policy")
         self.overlay = overlay
         self.service = service or ServiceModel()
-        #: Batched queue drains activate only under a
-        #: :class:`BatchServiceModel`; the default affine path replays
-        #: event for event as it always has.
-        self._batching = isinstance(self.service, BatchServiceModel)
         self.links = links or LinkModel()
-        self.scheduling: SchedulingPolicy = resolve_scheduling(
-            scheduling if scheduling is not None else "fifo"
-        )
+        self.scheduling = scheduling
         #: Queue admission: the default ``QueuePolicy()`` (unbounded)
         #: replays the pre-overload engine byte-identically; a capacity
         #: activates the drop-new / drop-oldest / nack overflow path.
-        self.queue_policy: QueuePolicy = resolve_queue_policy(queue_policy)
+        self.queue_policy = queue_policy
         #: Whether :meth:`schedule_join` / :meth:`schedule_leave` are
         #: permitted.  Topology churn mid-simulation re-routes in-flight
         #: documents (their timing restarts at the merge target), so it
@@ -500,17 +519,16 @@ class DeliveryEngine:
         #: ``(time, event, resulting broker id)`` per applied topology
         #: event — the join entries record the id the overlay minted.
         self.topology_log: list[tuple[float, TopologyEvent, int]] = []
-        #: (time, seq, kind, broker_id, payload, step-at-completion);
-        #: the payload is the job/batch/topology-event/source-signal the
-        #: event applies.
+        #: (time, seq, kind, broker_id, payload); the payload is the
+        #: arriving job, completing drain, topology event or source
+        #: signal the event applies.
         self._events: list[
             tuple[
                 float,
                 int,
                 str,
                 int,
-                Union[_Job, _Batch, TopologyEvent, _Signal, None],
-                Optional[BrokerStep],
+                Union[_Job, _Batch, TopologyEvent, _Signal],
             ]
         ] = []
         self._sequence = 0
@@ -857,13 +875,14 @@ class DeliveryEngine:
 
         A join simply equips the newcomer with an empty service queue.
         A leave re-routes every in-flight document the retiring broker
-        owned: its queued documents and the one in service arrive at the
-        merge target *now* (service restarts — the aborted service time
-        is credited back to the retiring broker's busy time), copies
-        already on the wire towards it are re-targeted at their original
-        arrival instants, and documents elsewhere that arrived over a
-        link from the retiring broker have their origin re-pointed at
-        the merge target, matching the renamed reverse-path state.
+        owned: its queued documents and the drain in service arrive at
+        the merge target *now* (service restarts — the aborted service
+        time is credited back to the retiring broker's busy time), and
+        copies already on the wire towards it are re-targeted at their
+        original arrival instants.  Documents elsewhere that arrived over
+        a link from the retiring broker keep their origin id; a drain
+        resolves it through the merge chain, matching the renamed
+        reverse-path state.
         Delivered subscriber sets are unaffected: re-routed documents
         may revisit brokers, but deliveries deduplicate per publish.
 
@@ -915,34 +934,19 @@ class DeliveryEngine:
         self._class_service.pop(retiring, None)
         retained = []
         for entry in self._events:
-            time, seq, kind, broker_id, payload, step = entry
-            if isinstance(payload, _Job) and payload.origin == retiring:
-                payload.origin = target
-            elif isinstance(payload, _Batch):
-                for job in payload.jobs:
-                    if job.origin == retiring:
-                        job.origin = target
-            if kind == _TOPOLOGY or broker_id != retiring:
+            time, seq, kind, broker_id, payload = entry
+            if broker_id != retiring:
                 retained.append(entry)
             elif kind == _ARRIVAL:
-                retained.append(
-                    (time, seq, _ARRIVAL, target, payload, None)
-                )
+                retained.append((time, seq, _ARRIVAL, target, payload))
             else:
-                # The document (or whole batch) in service: the work is
-                # abandoned where it stood and the service restarts at
-                # the merge target.
+                # The drain in service: the work is abandoned where it
+                # stood and the service restarts at the merge target.
+                assert isinstance(payload, _Batch)
                 self._busy_time[retiring] -= time - now
-                if isinstance(payload, _Batch):
-                    reinject.extend(payload.jobs)
-                else:
-                    reinject.append(payload)
+                reinject.extend(payload.jobs)
         self._events = retained
         heapq.heapify(self._events)
-        for queue in self._queues.values():
-            for job in queue:
-                if job.origin == retiring:
-                    job.origin = target
         for job in reinject:
             self._schedule(now, _ARRIVAL, target, job)
         self.topology_log.append((now, event, target))
@@ -979,12 +983,11 @@ class DeliveryEngine:
         time: float,
         kind: str,
         broker_id: int,
-        job: Union[_Job, _Batch, TopologyEvent, _Signal],
-        step: Optional[BrokerStep] = None,
+        payload: Union[_Job, _Batch, TopologyEvent, _Signal],
     ) -> None:
         self._sequence += 1
         heapq.heappush(
-            self._events, (time, self._sequence, kind, broker_id, job, step)
+            self._events, (time, self._sequence, kind, broker_id, payload)
         )
 
     def _next_job(self, broker_id: int, now: float) -> Optional[_Job]:
@@ -1018,16 +1021,16 @@ class DeliveryEngine:
     def _account_service(self, broker_id: int, job: _Job) -> None:
         """Charge one service start to the broker's per-class share
         history (what :meth:`_next_job` hands share-aware policies);
-        selections within one batched drain see each other's charges."""
+        selections within one drain see each other's charges."""
         shares = self._class_service.setdefault(broker_id, {})
         shares[job.priority_class] = shares.get(job.priority_class, 0) + 1
 
-    def _next_batch(self, broker_id: int, now: float) -> list[_Job]:
-        """Drain up to ``max_batch`` jobs for one batched service
-        interval, one :meth:`_next_job` policy selection per job — the
-        scheduling discipline shapes the batch exactly as it shapes the
-        one-at-a-time schedule."""
-        limit = self.service.max_batch if self._batching else 1
+    def _next_drain(self, broker_id: int, now: float) -> list[_Job]:
+        """Drain up to the service model's ``drain_limit`` jobs for one
+        service interval, one :meth:`_next_job` policy selection per job
+        — the scheduling discipline shapes a drain exactly as it shapes
+        the one-at-a-time schedule."""
+        limit = self.service.drain_limit
         jobs: list[_Job] = []
         while len(jobs) < limit:
             job = self._next_job(broker_id, now)
@@ -1036,36 +1039,27 @@ class DeliveryEngine:
             jobs.append(job)
         return jobs
 
-    def _start_service(self, broker_id: int, job: _Job, now: float) -> None:
-        self._busy[broker_id] = True
-        self._queue_delays.append(now - job.arrived_at)
-        self._serviced_documents += 1
-        self._service_batches += 1
-        job.document = prepare(job.document)
-        step = self.overlay.process_at(broker_id, job.document, job.origin)
-        self._match_operations += step.match_operations
-        duration = self.service.service_time(step.match_operations)
-        self._busy_time[broker_id] += duration
-        self._schedule(now + duration, _COMPLETE, broker_id, job, step)
-
-    def _start_batch(
+    def _start_service(
         self, broker_id: int, jobs: list[_Job], now: float
     ) -> None:
-        """Service *jobs* in one batched interval: one shared-pool
-        filtering pass, one completion event, a duration read off the
-        measured batch op count."""
+        """Service *jobs* in one interval: one shared-pool filtering
+        pass, one completion event, a duration the service model reads
+        off the measured op count."""
         self._busy[broker_id] = True
-        for job in jobs:
-            self._queue_delays.append(now - job.arrived_at)
         self._serviced_documents += len(jobs)
         self._service_batches += 1
+        documents: list[Document] = []
+        origins: list[Optional[int]] = []
         for job in jobs:
+            self._queue_delays.append(now - job.arrived_at)
             job.document = prepare(job.document)
-        steps = self.overlay.process_batch_at(
-            broker_id,
-            [job.document for job in jobs],
-            [job.origin for job in jobs],
-        )
+            documents.append(job.document)
+            # An origin retired since the job arrived now leads back to
+            # its merge target.
+            origins.append(
+                None if job.origin is None else self._resolve_broker(job.origin)
+            )
+        steps = self.overlay.process_batch_at(broker_id, documents, origins)
         operations = sum(step.match_operations for step in steps)
         self._match_operations += operations
         duration = self.service.service_time_batch(operations, len(jobs))
@@ -1089,12 +1083,9 @@ class DeliveryEngine:
             self._depth_peaks[broker_id] = depth
         if self._busy[broker_id]:
             self._queues[broker_id].append(job)
-        elif self._batching:
-            self._account_service(broker_id, job)
-            self._start_batch(broker_id, [job], now)
         else:
             self._account_service(broker_id, job)
-            self._start_service(broker_id, job, now)
+            self._start_service(broker_id, [job], now)
 
     def _on_overflow(self, broker_id: int, job: _Job, now: float) -> None:
         """Resolve one arrival at a full queue per the queue policy.
@@ -1218,28 +1209,15 @@ class DeliveryEngine:
         )
         self._copy_dead(job, now, clean=True)
 
-    def _finish_service(self, broker_id: int, now: float) -> None:
-        """Free the broker and start its next service interval."""
-        self._busy[broker_id] = False
-        pending = self._next_batch(broker_id, now)
-        if pending:
-            if self._batching:
-                self._start_batch(broker_id, pending, now)
-            else:
-                self._start_service(broker_id, pending[0], now)
-
-    def _on_complete(
-        self, broker_id: int, job: _Job, step: BrokerStep, now: float
-    ) -> None:
-        self._deliver_and_forward(broker_id, job, step, now)
-        self._finish_service(broker_id, now)
-
-    def _on_complete_batch(
-        self, broker_id: int, batch: _Batch, now: float
-    ) -> None:
+    def _on_complete(self, broker_id: int, batch: _Batch, now: float) -> None:
+        """Apply a finished drain, then free the broker and start its
+        next service interval."""
         for job, step in zip(batch.jobs, batch.steps, strict=True):
             self._deliver_and_forward(broker_id, job, step, now)
-        self._finish_service(broker_id, now)
+        self._busy[broker_id] = False
+        jobs = self._next_drain(broker_id, now)
+        if jobs:
+            self._start_service(broker_id, jobs, now)
 
     def run(self) -> LatencyStats:
         """Process every pending event and report the timing outcome.
@@ -1248,19 +1226,20 @@ class DeliveryEngine:
         again; stats always cover everything processed so far.
         """
         while self._events:
-            time, _, kind, broker_id, job, step = heapq.heappop(self._events)
+            time, _, kind, broker_id, payload = heapq.heappop(self._events)
             self._last_event = max(self._last_event, time)
             if kind == _TOPOLOGY:
-                self._on_topology(job, time)
+                assert isinstance(payload, TopologyEvent)
+                self._on_topology(payload, time)
             elif kind == _SIGNAL:
-                self._on_signal(job, time)
+                assert isinstance(payload, _Signal)
+                self._on_signal(payload, time)
             elif kind == _ARRIVAL:
-                self._on_arrival(broker_id, job, time)
-            elif isinstance(job, _Batch):
-                self._on_complete_batch(broker_id, job, time)
+                assert isinstance(payload, _Job)
+                self._on_arrival(broker_id, payload, time)
             else:
-                assert step is not None
-                self._on_complete(broker_id, job, step, time)
+                assert isinstance(payload, _Batch)
+                self._on_complete(broker_id, payload, time)
         return self.stats()
 
     # ------------------------------------------------------------------

@@ -32,11 +32,9 @@ policy:
 * :class:`~repro.routing.policy.HybridPolicy` — per-subscription precision
   at lightly loaded brokers, aggregation where state actually accumulates.
 
-The legacy spellings survive: ``advertise_subscriptions()`` /
-``advertise_communities(provider, threshold=...)`` delegate to
-:meth:`advertise`, which also accepts the string names
-``"per_subscription"`` / ``"community"`` and resolves them to policy
-instances.
+:meth:`advertise` takes the policy object only and raises ``TypeError``
+naming :class:`~repro.routing.policy.AdvertisementPolicy` for anything
+else.
 
 Every policy is maintained **incrementally under churn** through the
 subscription lifecycle: :meth:`BrokerOverlay.subscribe` returns a
@@ -69,17 +67,15 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.pattern import TreePattern
 from repro.core.similarity import SelectivityProvider, SimilarityIndex
 from repro.routing.policy import (
     AdvertisementPolicy,
-    AdvertisementSpec,
     CommunityPolicy,
-    PerSubscriptionPolicy,
-    resolve_advertisement,
+    require_instance,
 )
 from repro.routing.table import RoutingTable
 from repro.routing.trie import Document, prepare
@@ -147,7 +143,7 @@ class BrokerNode:
         default_factory=list
     )
     #: Live pairwise-similarity engine over the local subscriptions
-    #: (community regime only; populated by ``advertise_communities`` and
+    #: (similarity-based policies only; populated by ``advertise`` and
     #: maintained by subscribe/unsubscribe).
     index: Optional[SimilarityIndex] = None
     #: subscriber id -> similarity-index handle (community regime only).
@@ -185,6 +181,23 @@ class BrokerStep:
     #: default merged-trie mode, pattern-vs-document evaluations in
     #: ``"linear"`` mode — the input of a service-time model.
     match_operations: int
+
+
+def _step(destinations: Iterable[Any], operations: int) -> BrokerStep:
+    """Split one document's matched table destinations into local
+    deliveries and forwards, keeping table order."""
+    delivered: set[int] = set()
+    forwards: list[int] = []
+    for kind, payload in destinations:
+        if kind == _DELIVER:
+            delivered.update(payload)
+        else:
+            forwards.append(payload)
+    return BrokerStep(
+        deliveries=frozenset(delivered),
+        forwards=tuple(forwards),
+        match_operations=operations,
+    )
 
 
 @dataclass(frozen=True)
@@ -372,7 +385,7 @@ class BrokerOverlay:
 
         Membership only: no advertisement is sent, even when a routing
         regime is live — the bulk-load path, followed by one
-        ``advertise_*`` call.  Use :meth:`subscribe` for the event-driven
+        :meth:`advertise` call.  Use :meth:`subscribe` for the event-driven
         path that keeps live routing state fresh.
         """
         if broker_id not in self.brokers:
@@ -880,7 +893,7 @@ class BrokerOverlay:
 
     def rebuilt(
         self,
-        policy: Optional[AdvertisementSpec] = None,
+        policy: Optional[AdvertisementPolicy] = None,
         provider: Optional[SelectivityProvider] = None,
     ) -> "BrokerOverlay":
         """A from-scratch overlay over this one's topology and
@@ -1074,29 +1087,25 @@ class BrokerOverlay:
 
     def advertise(
         self,
-        policy: AdvertisementSpec,
+        policy: AdvertisementPolicy,
         provider: Optional[SelectivityProvider] = None,
-        candidates: "CandidateGenerator | str | None" = None,
-        **overrides: object,
+        candidates: Optional[CandidateGenerator] = None,
     ) -> None:
         """Install routing state for the whole overlay under *policy*.
 
         *policy* is an :class:`~repro.routing.policy.AdvertisementPolicy`
-        instance, or one of the legacy string spellings
-        (``"per_subscription"``, ``"community"``, ``"hybrid"`` — keyword
-        overrides such as ``threshold=`` are forwarded to the resolved
-        policy's constructor).  Similarity-based policies additionally
-        need *provider*, the
+        instance — ``PerSubscriptionPolicy()``, ``CommunityPolicy(0.5)``
+        or ``HybridPolicy(0.5, aggregate_above=8)``; anything else raises
+        ``TypeError``.  Similarity-based policies additionally need
+        *provider*, the
         :class:`~repro.core.similarity.SelectivityProvider` each broker's
         live index scores patterns with.
 
         *candidates* — a
-        :class:`~repro.core.candidates.CandidateGenerator` template (or
-        the string spellings accepted by
-        :func:`~repro.core.candidates.resolve_candidates`) — gates which
-        pattern pairs the similarity machinery evaluates at all; it only
-        makes sense for similarity-based policies and replaces whatever
-        generator the policy was constructed with.
+        :class:`~repro.core.candidates.CandidateGenerator` template —
+        gates which pattern pairs the similarity machinery evaluates at
+        all; it only makes sense for community policies and replaces
+        whatever generator the policy was constructed with.
 
         Every broker aggregates its local subscriptions through the
         policy and floods the resulting advertisements hop-by-hop with
@@ -1105,9 +1114,9 @@ class BrokerOverlay:
         (and their batch variants) maintain the advertisement state
         incrementally instead of rebuilding it.
         """
-        policy = resolve_advertisement(policy, **overrides)
+        require_instance(policy, AdvertisementPolicy, "advertisement policy")
         if candidates is not None:
-            if not policy.uses_similarity:
+            if not isinstance(policy, CommunityPolicy):
                 raise ValueError(
                     f"{type(policy).__name__} does not evaluate pattern "
                     "similarity; a candidate generator has nothing to gate"
@@ -1137,42 +1146,6 @@ class BrokerOverlay:
             for advertised, members in node.communities:
                 node.table.add(advertised, (_DELIVER, members))
                 self._propagate(node.broker_id, advertised)
-
-    def advertise_subscriptions(self) -> None:
-        """Per-subscription advertisement: exact routing, maximal state.
-
-        Legacy spelling of ``advertise(PerSubscriptionPolicy())``.
-        """
-        self.advertise(PerSubscriptionPolicy())
-
-    def advertise_communities(
-        self,
-        provider: SelectivityProvider,
-        threshold: float,
-        metric: str = "M3",
-        elect_by_selectivity: bool = True,
-        ratio_prefilter: bool = True,
-    ) -> None:
-        """Community-aggregated advertisement.
-
-        Legacy spelling of ``advertise(CommunityPolicy(...), provider)``:
-        each broker clusters its local subscriptions with
-        :func:`~repro.routing.community.leader_clustering` over a live
-        :class:`~repro.core.similarity.SimilarityIndex` (one
-        joint-selectivity computation per pattern pair, shared across all
-        queries and across later churn events), then advertises a single
-        pattern per community.  See :class:`CommunityPolicy` for the
-        ``elect_by_selectivity`` and ``ratio_prefilter`` knobs.
-        """
-        self.advertise(
-            CommunityPolicy(
-                threshold,
-                metric=metric,
-                elect_by_selectivity=elect_by_selectivity,
-                ratio_prefilter=ratio_prefilter,
-            ),
-            provider,
-        )
 
     # ------------------------------------------------------------------
     # routing
@@ -1206,18 +1179,7 @@ class BrokerOverlay:
         destinations, operations = node.table.destinations_for(
             document, exclude=exclude
         )
-        delivered: set[int] = set()
-        forwards: list[int] = []
-        for kind, payload in destinations:
-            if kind == _DELIVER:
-                delivered.update(payload)
-            else:
-                forwards.append(payload)
-        return BrokerStep(
-            deliveries=frozenset(delivered),
-            forwards=tuple(forwards),
-            match_operations=operations,
-        )
+        return _step(destinations, operations)
 
     def process_batch_at(
         self,
@@ -1240,40 +1202,21 @@ class BrokerOverlay:
         """
         if broker_id not in self.brokers:
             raise ValueError(f"no broker {broker_id}")
-        node = self.brokers[broker_id]
-        documents = list(documents)
         if arrived_from is None:
-            origins: list[Optional[int]] = [None] * len(documents)
-        else:
-            origins = list(arrived_from)
-            if len(origins) != len(documents):
-                raise ValueError(
-                    f"{len(documents)} documents but {len(origins)} origins"
-                )
+            arrived_from = [None] * len(documents)
         excludes = [
             () if origin is None else ((_FORWARD, origin),)
-            for origin in origins
+            for origin in arrived_from
         ]
-        batch = node.table.destinations_for_batch(documents, excludes)
-        steps: list[BrokerStep] = []
-        for destinations, operations in zip(
-            batch.destinations, batch.operations, strict=True
-        ):
-            delivered: set[int] = set()
-            forwards: list[int] = []
-            for kind, payload in destinations:
-                if kind == _DELIVER:
-                    delivered.update(payload)
-                else:
-                    forwards.append(payload)
-            steps.append(
-                BrokerStep(
-                    deliveries=frozenset(delivered),
-                    forwards=tuple(forwards),
-                    match_operations=operations,
-                )
+        batch = self.brokers[broker_id].table.destinations_for_batch(
+            documents, excludes
+        )
+        return [
+            _step(destinations, operations)
+            for destinations, operations in zip(
+                batch.destinations, batch.operations, strict=True
             )
-        return steps
+        ]
 
     def route(
         self, document: Document, publish_at: int = 0
@@ -1318,10 +1261,7 @@ class BrokerOverlay:
         false positive, a missed interested subscriber a false negative.
         """
         if self.mode is None:
-            raise ValueError(
-                "no routing state: call advertise() (or the legacy "
-                "advertise_subscriptions()/advertise_communities()) first"
-            )
+            raise ValueError("no routing state: call advertise(policy) first")
         interest = {
             subscriber_id: corpus.match_set(pattern)
             for subscriber_id, (_, pattern) in self.subscriptions.items()

@@ -570,28 +570,34 @@ class RoutingTable:
         match index.
         """
         skip = set(exclude)
-        found: list[Destination] = []
         mode = self.matching if matching is None else matching
         if mode == "trie":
             result = self._trie.match(document)
             operations = result.operations
             found = self._ordered(result.destinations, skip)
         else:
-            tree = (
-                document.tree
-                if isinstance(document, PreparedDocument)
-                else document
-            )
-            operations = 0
-            for destination, patterns in self._by_destination.items():
-                if destination in skip:
-                    continue
-                for pattern in patterns:
-                    operations += 1
-                    if self._matcher(pattern).matches(tree):
-                        found.append(destination)
-                        break
+            found, operations = self._match_linear(document, skip)
         self.match_operations += operations
+        return found, operations
+
+    def _match_linear(
+        self, document: Document, skip: set[Destination]
+    ) -> tuple[list[Destination], int]:
+        """The per-pattern oracle: destinations in table order (first hit
+        per destination short-circuits) and the pattern evaluations spent."""
+        tree = (
+            document.tree if isinstance(document, PreparedDocument) else document
+        )
+        found: list[Destination] = []
+        operations = 0
+        for destination, patterns in self._by_destination.items():
+            if destination in skip:
+                continue
+            for pattern in patterns:
+                operations += 1
+                if self._matcher(pattern).matches(tree):
+                    found.append(destination)
+                    break
         return found, operations
 
     def _ordered(
@@ -635,22 +641,21 @@ class RoutingTable:
         iterable per document — jobs drained from one queue may have
         arrived over different links).
         """
-        documents = list(documents)
         if excludes is None:
-            skips: list[set[Destination]] = [set() for _ in documents]
-        else:
-            skips = [set(exclude) for exclude in excludes]
-            if len(skips) != len(documents):
-                raise ValueError(
-                    f"{len(documents)} documents but {len(skips)} excludes"
-                )
+            excludes = [()] * len(documents)
+        elif len(excludes) != len(documents):
+            raise ValueError(
+                f"{len(documents)} documents but {len(excludes)} excludes"
+            )
         mode = self.matching if matching is None else matching
         per_document: list[list[Destination]] = []
         operations: list[int] = []
         if mode == "trie":
             batch = self._trie.match_batch(documents)
-            for result, skip in zip(batch.results, skips, strict=True):
-                per_document.append(self._ordered(result.destinations, skip))
+            for result, exclude in zip(batch.results, excludes, strict=True):
+                per_document.append(
+                    self._ordered(result.destinations, set(exclude))
+                )
                 operations.append(result.operations)
             self.match_operations += batch.operations
             return TableBatchMatch(
@@ -659,12 +664,11 @@ class RoutingTable:
                 memo_hits=batch.memo_hits,
                 memo_misses=batch.memo_misses,
             )
-        for document, skip in zip(documents, skips, strict=True):
-            found, spent = self.destinations_for(
-                document, exclude=skip, matching=mode
-            )
+        for document, exclude in zip(documents, excludes, strict=True):
+            found, spent = self._match_linear(document, set(exclude))
             per_document.append(found)
             operations.append(spent)
+        self.match_operations += sum(operations)
         return TableBatchMatch(per_document, operations)
 
     # ------------------------------------------------------------------

@@ -31,7 +31,14 @@ def _label_to_list(label: LabelTree) -> list:
     return [label.tag, [_label_to_list(child) for child in label.children]]
 
 
-def _label_from_list(data: list) -> LabelTree:
+def _label_from_list(data: Any) -> LabelTree:
+    if (
+        not isinstance(data, list)
+        or len(data) != 2
+        or not isinstance(data[0], str)
+        or not isinstance(data[1], list)
+    ):
+        raise ValueError(f"corrupt synopsis: malformed label {data!r}")
     tag, children = data
     return LabelTree(tag, tuple(_label_from_list(child) for child in children))
 
@@ -77,31 +84,71 @@ def synopsis_to_dict(synopsis: DocumentSynopsis) -> dict:
     return payload
 
 
-def _field(data: Any, key: str) -> Any:
-    """``data[key]``, with a missing key or non-mapping reported as the
-    loader's one error type."""
+def _field(data: Any, key: str, kind: type = object) -> Any:
+    """``data[key]``, with a missing key, a non-mapping or a value that is
+    not a *kind* reported as the loader's one error type."""
     try:
-        return data[key]
+        value = data[key]
     except (KeyError, TypeError):
         raise ValueError(f"corrupt synopsis: missing {key!r}") from None
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"corrupt synopsis: {key!r} must be a {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _count(data: Any, key: str) -> int:
     """A non-negative integer field."""
     value = _field(data, key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_count(value):
         raise ValueError(
             f"corrupt synopsis: {key!r} must be a non-negative int, got {value!r}"
         )
     return value
 
 
+def _ids(data: Any, key: str) -> set[int]:
+    """A list field of non-negative integer document ids, as a set."""
+    values = _field(data, key, list)
+    if not all(_is_count(value) for value in values):
+        raise ValueError(
+            f"corrupt synopsis: {key!r} must list non-negative ints, got {values!r}"
+        )
+    return set(values)
+
+
+def _check_acyclic(nodes_by_id: dict[int, SynopsisNode]) -> None:
+    """Reject a child cycle (Kahn's algorithm: no recursion, so a deep or
+    cyclic payload cannot exhaust the stack)."""
+    indegree = dict.fromkeys(nodes_by_id, 0)
+    for node in nodes_by_id.values():
+        for child in node.children:
+            indegree[child.node_id] += 1
+    ready = [node for node in nodes_by_id.values() if indegree[node.node_id] == 0]
+    ordered = 0
+    while ready:
+        node = ready.pop()
+        ordered += 1
+        for child in node.children:
+            indegree[child.node_id] -= 1
+            if indegree[child.node_id] == 0:
+                ready.append(child)
+    if ordered != len(indegree):
+        raise ValueError("corrupt synopsis: child cycle")
+
+
 def synopsis_from_dict(data: dict) -> DocumentSynopsis:
     """Rebuild a synopsis from :func:`synopsis_to_dict` output.
 
     Raises :class:`ValueError` on a foreign or corrupt payload — a
-    missing key, a negative document count or hash level, a dangling
-    node id — instead of loading a synopsis that answers wrongly.
+    missing or wrongly typed key, a negative count, summary or hash
+    level, a hash sample larger than its capacity, a dangling node id or
+    a child cycle — instead of loading a synopsis that answers wrongly.
     """
     if data.get("format") != FORMAT_NAME:
         raise ValueError("not a serialised repro synopsis")
@@ -110,7 +157,7 @@ def synopsis_from_dict(data: dict) -> DocumentSynopsis:
 
     synopsis = DocumentSynopsis(
         mode=_field(data, "mode"),
-        capacity=_field(data, "capacity"),
+        capacity=_count(data, "capacity"),
         seed=_field(data, "seed"),
     )
     synopsis.n_documents = _count(data, "n_documents")
@@ -119,12 +166,12 @@ def synopsis_from_dict(data: dict) -> DocumentSynopsis:
     # Recreate all nodes first, then wire edges (the graph may be a DAG).
     nodes_by_id: dict[int, SynopsisNode] = {}
     max_id = 0
-    entries = _field(data, "nodes")
+    entries = _field(data, "nodes", list)
     for entry in entries:
-        node_id = _field(entry, "id")
+        node_id = _count(entry, "id")
         label = _label_from_list(_field(entry, "label"))
         node = SynopsisNode(node_id, label, None)
-        node.summary = _summary_from_jsonable(synopsis, _field(entry, "summary"))
+        node.summary = _summary_from_jsonable(synopsis, entry)
         nodes_by_id[node_id] = node
         max_id = max(max_id, node_id)
     synopsis._next_node_id = max_id + 1
@@ -137,8 +184,9 @@ def synopsis_from_dict(data: dict) -> DocumentSynopsis:
 
     for entry in entries:
         node = nodes_by_id[entry["id"]]
-        for child_id in _field(entry, "children"):
+        for child_id in _field(entry, "children", list):
             node.add_child(resolve(child_id))
+    _check_acyclic(nodes_by_id)
 
     synopsis.root = resolve(_field(data, "root_id"))
     if _field(data, "pruned"):
@@ -154,20 +202,27 @@ def synopsis_from_dict(data: dict) -> DocumentSynopsis:
             synopsis._doc_index = index
     if synopsis.mode == "sets":
         assert synopsis.reservoir is not None
-        synopsis.reservoir._members = list(_field(data, "reservoir_members"))
+        synopsis.reservoir._members = list(_field(data, "reservoir_members", list))
         synopsis.reservoir._seen = synopsis.n_documents
     return synopsis
 
 
-def _summary_from_jsonable(synopsis: DocumentSynopsis, data: Any):
+def _summary_from_jsonable(synopsis: DocumentSynopsis, entry: Any):
+    """The matching-set summary of one serialised node *entry*."""
     if synopsis.mode == "counters":
-        return CounterSummary(int(data))
+        return CounterSummary(_count(entry, "summary"))
     if synopsis.mode == "sets":
-        return set(data)
+        return _ids(entry, "summary")
     assert synopsis.hasher is not None
+    data = _field(entry, "summary", dict)
     sample = HashSample(synopsis.hasher, synopsis.capacity)
     sample.level = _count(data, "level")
-    sample.ids = set(_field(data, "ids"))
+    sample.ids = _ids(data, "ids")
+    if len(sample.ids) > synopsis.capacity:
+        raise ValueError(
+            f"corrupt synopsis: hash sample of {len(sample.ids)} ids exceeds "
+            f"capacity {synopsis.capacity}"
+        )
     return sample
 
 

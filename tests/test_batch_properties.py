@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.routing.engine import BatchServiceModel, DeliveryEngine, LinkModel
 from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import PerSubscriptionPolicy
 from repro.routing.table import RoutingTable
 from repro.routing.trie import PatternTrie, PreparedDocument, prepare
 from repro.xmltree.corpus import DocumentCorpus
@@ -271,7 +272,7 @@ class TestBatchedEngineEquivalence:
             )
             for pattern in patterns
         ]
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         wanted = {
             index: frozenset(
                 subscription

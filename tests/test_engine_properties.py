@@ -1,11 +1,14 @@
 """Property-based sync/async equivalence for the delivery engine.
 
-The engine consumes the same broker-local step
-(:meth:`BrokerOverlay.process_at`) as the synchronous walk, so for any
-workload, topology and advertisement regime it must deliver *exactly* the
-same subscriber sets — timing may differ, delivery semantics may not.
-The sweep also pins determinism: every run is replayed and must reproduce
-its stats and schedule bit for bit.
+The engine consumes the same broker-local steps as the synchronous walk
+(:meth:`BrokerOverlay.process_batch_at` builds them exactly as
+:meth:`BrokerOverlay.process_at` does), so for any workload, topology and
+advertisement regime it must deliver *exactly* the same subscriber sets —
+timing may differ, delivery semantics may not.  The sweep also pins
+determinism (every run is replayed and must reproduce its stats and
+schedule bit for bit) and the engine's single drain path: the affine
+``ServiceModel`` behaves exactly as a ``BatchServiceModel`` draining one
+document with no per-document charge.
 """
 
 from __future__ import annotations
@@ -28,7 +31,15 @@ from repro.routing.engine import (
     ServiceModel,
 )
 from repro.routing.overlay import TOPOLOGIES, BrokerOverlay
-from repro.routing.policy import QueuePolicy, WeightedFairScheduling
+from repro.routing.policy import (
+    CommunityPolicy,
+    DeadlineScheduling,
+    FifoScheduling,
+    PerSubscriptionPolicy,
+    PriorityScheduling,
+    QueuePolicy,
+    WeightedFairScheduling,
+)
 from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.parser import parse_xml
 from tests.strategies import tree_patterns
@@ -40,9 +51,9 @@ def build_routed_overlay(topology, n_brokers, patterns, regime, corpus):
     overlay = BrokerOverlay.build(topology, n_brokers, seed=5)
     overlay.attach_round_robin(patterns)
     if regime == "per_subscription":
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
     else:
-        overlay.advertise_communities(corpus, threshold=regime)
+        overlay.advertise(CommunityPolicy(regime), corpus)
     return overlay
 
 
@@ -125,6 +136,58 @@ class TestSyncAsyncEquivalence:
         assert stats.match_operations == expected_operations
 
 
+class TestSinglePathEquivalence:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        corpora(),
+        st.lists(tree_patterns(), min_size=1, max_size=4),
+        st.sampled_from(sorted(TOPOLOGIES)),
+        st.sampled_from(["per_subscription", 0.5]),
+        st.sampled_from([(0.2, 0.05), (1.0, 0.0), (0.0, 0.3)]),
+        st.sampled_from(
+            [
+                FifoScheduling(),
+                PriorityScheduling({0: 4.0, 1: 1.0}, aging=0.5),
+                DeadlineScheduling(default_slack=2.0),
+                WeightedFairScheduling({0: 3.0, 1: 1.0}),
+            ]
+        ),
+        st.sampled_from(
+            [
+                QueuePolicy(),
+                QueuePolicy(0, "drop-new"),
+                QueuePolicy(1, "drop-oldest"),
+                QueuePolicy(2, "nack"),
+            ]
+        ),
+        st.sampled_from([0.5, 4.0]),
+    )
+    def test_affine_model_is_a_drain_of_one(
+        self, docs, patterns, topology, regime, coefficients, scheduling,
+        queue_policy, rate,
+    ):
+        corpus = DocumentCorpus(docs)
+        overlay = build_routed_overlay(topology, 3, patterns, regime, corpus)
+        base, per_match = coefficients
+        outcomes = []
+        for service in (
+            ServiceModel(base, per_match),
+            BatchServiceModel(base, per_match, per_doc=0.0, max_batch=1),
+        ):
+            engine = DeliveryEngine(
+                overlay,
+                service=service,
+                links=LinkModel(default=0.7),
+                scheduling=scheduling,
+                queue_policy=queue_policy,
+            )
+            engine.publish_corpus(
+                corpus, rate=rate, classes=(0, 1), deadline_slack=3.0
+            )
+            outcomes.append((engine.run(), engine.delivered_sets()))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestPreparedOnce:
     @settings(max_examples=15, deadline=None)
     @given(
@@ -170,7 +233,7 @@ def closed_loop_digest() -> str:
     overlay.attach(0, parse_xpath("/a/b"))
     overlay.attach(1, parse_xpath("//b"))
     overlay.attach(2, parse_xpath("/a"))
-    overlay.advertise_subscriptions()
+    overlay.advertise(PerSubscriptionPolicy())
     shapes = ("<a><b/></a>", "<a><c/></a>", "<b/>", "<a><a><b/></a></a>")
     corpus = DocumentCorpus(
         [parse_xml(shapes[i % len(shapes)], doc_id=i) for i in range(16)]

@@ -38,6 +38,7 @@ from repro.routing.policy import (
     OVERFLOW_MODES,
     DeadlineScheduling,
     FifoScheduling,
+    PerSubscriptionPolicy,
     PriorityScheduling,
     QueuePolicy,
     WeightedFairScheduling,
@@ -59,7 +60,7 @@ SCHEDULERS = (
 def membership_overlay(topology, n_brokers, patterns):
     overlay = BrokerOverlay.build(topology, n_brokers, seed=5)
     overlay.attach_round_robin(patterns)
-    overlay.advertise_subscriptions()
+    overlay.advertise(PerSubscriptionPolicy())
     return overlay
 
 
@@ -121,7 +122,7 @@ def legacy_scenario_engine(**engine_kwargs):
     overlay.attach(1, parse_xpath("//b"))
     overlay.attach(2, parse_xpath("/a"))
     overlay.attach(2, parse_xpath("/c"))
-    overlay.advertise_subscriptions()
+    overlay.advertise(PerSubscriptionPolicy())
     shapes = (
         "<a><b/></a>",
         "<a><c/></a>",
@@ -422,7 +423,7 @@ class TestWeightedFairConvergence:
     def test_long_run_shares_converge_to_weights(self, weights, seed):
         overlay = BrokerOverlay.chain(1)
         overlay.attach(0, parse_xpath("//b"))
-        overlay.advertise_subscriptions()
+        overlay.advertise(PerSubscriptionPolicy())
         corpus = DocumentCorpus(
             [parse_xml("<a><b/></a>", doc_id=i) for i in range(400)]
         )

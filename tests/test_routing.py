@@ -5,7 +5,7 @@ from typing import Optional
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
-from repro.core.similarity import SimilarityEstimator, SimilarityMatrix
+from repro.core.similarity import SimilarityEstimator, SimilarityIndex
 from repro.routing.broker import RoutingSimulator
 from repro.routing.community import (
     Community,
@@ -173,7 +173,7 @@ def _reference_agglomerative(patterns, similarity, n_communities,
 
 class TestClusteringDeterminism:
     """Regression pins: identical communities across runs and across the
-    direct-callable / SimilarityMatrix-backed code paths."""
+    direct-callable / unpruned-SimilarityIndex-backed code paths."""
 
     @pytest.fixture()
     def workload(self):
@@ -210,7 +210,9 @@ class TestClusteringDeterminism:
         def direct(p, q):
             return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
 
-        matrix = SimilarityMatrix(corpus, workload, metric="M3")
+        matrix = SimilarityIndex(
+            corpus, workload, metric="M3", prune_disjoint=False
+        )
         for threshold in (0.3, 0.5, 0.8, 1.0):
             assert _communities_as_tuples(
                 leader_clustering(workload, matrix, threshold)
@@ -222,7 +224,9 @@ class TestClusteringDeterminism:
         def direct(p, q):
             return SimilarityEstimator(corpus).similarity(p, q, metric="M3")
 
-        matrix = SimilarityMatrix(corpus, workload, metric="M3")
+        matrix = SimilarityIndex(
+            corpus, workload, metric="M3", prune_disjoint=False
+        )
         for n_communities in (1, 4, 10):
             assert _communities_as_tuples(
                 agglomerative_clustering(workload, matrix, n_communities)

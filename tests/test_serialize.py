@@ -158,3 +158,63 @@ class TestCorruptPayloads:
         del ab_payload["capacity"]
         with pytest.raises(ValueError, match="capacity"):
             synopsis_from_dict(ab_payload)
+
+
+def _corrupt_payload(mode):
+    """The ``ab_payload`` stream, serialised in *mode*."""
+    synopsis = DocumentSynopsis(mode=mode, capacity=64, seed=1)
+    for doc_id in range(20):
+        child = "b" if doc_id % 5 < 2 else "c"
+        synopsis.insert_document(
+            XMLTree.from_nested(("a", [(child, [])]), doc_id=doc_id)
+        )
+    return synopsis_to_dict(synopsis)
+
+
+def _close_cycle(data):
+    node_labelled(data, "b")["children"].append(data["root_id"])
+
+
+def _retype(key, value):
+    def corrupt(data):
+        node_labelled(data, "b")[key] = value
+
+    return corrupt
+
+
+_WRONG_SUMMARY = {"counters": [1], "sets": 5, "hashes": {"level": 0, "ids": 5}}
+
+_CORRUPTIONS = [
+    (mode, name, corrupt)
+    for mode in ("counters", "sets", "hashes")
+    for name, corrupt in (
+        ("child-cycle", _close_cycle),
+        ("label-type", _retype("label", 5)),
+        ("children-type", _retype("children", 5)),
+        ("id-type", _retype("id", "b")),
+        ("capacity-type", lambda data: data.__setitem__("capacity", "64")),
+        ("nodes-type", lambda data: data.__setitem__("nodes", 5)),
+        ("summary-type", _retype("summary", _WRONG_SUMMARY[mode])),
+    )
+] + [
+    ("counters", "negative-summary", _retype("summary", -3)),
+    (
+        "hashes",
+        "ids-over-capacity",
+        lambda data: node_labelled(data, "b")["summary"].__setitem__(
+            "ids", list(range(data["capacity"] + 1))
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("mode", "corrupt"),
+    [(mode, corrupt) for mode, _, corrupt in _CORRUPTIONS],
+    ids=[f"{mode}-{name}" for mode, name, _ in _CORRUPTIONS],
+)
+def test_loader_rejects_corruption_with_value_error(mode, corrupt):
+    data = _corrupt_payload(mode)
+    corrupt(data)
+    with pytest.raises(ValueError, match="corrupt synopsis"):
+        synopsis_from_dict(data)

@@ -8,7 +8,7 @@ from repro.core.selectivity import SelectivityEstimator
 from repro.core.similarity import (
     METRICS,
     SimilarityEstimator,
-    SimilarityMatrix,
+    SimilarityIndex,
     m1_conditional,
     m2_mean_conditional,
     m3_joint_over_union,
@@ -161,7 +161,21 @@ def _sixty_patterns():
     return patterns
 
 
-class TestSimilarityMatrix:
+def _frozen_index(provider, patterns, metric="M3"):
+    """A fixed-population index with raw provider values (no prefilter)."""
+    return SimilarityIndex(provider, patterns, metric=metric, prune_disjoint=False)
+
+
+def _values(index):
+    """The full pairwise matrix over the index's live population."""
+    handles = index.handles()
+    return [[index.row(h)[g] for g in handles] for h in handles]
+
+
+class TestFrozenPopulationIndex:
+    """The fixed-population use of :class:`SimilarityIndex`: handles are
+    positions, values equal the estimator's matrix."""
+
     @pytest.fixture()
     def patterns(self):
         return [
@@ -173,28 +187,28 @@ class TestSimilarityMatrix:
 
     def test_values_match_estimator_matrix(self, corpus, patterns):
         for metric in METRICS:
-            engine = SimilarityMatrix(corpus, patterns, metric=metric)
-            assert engine.values == SimilarityEstimator(corpus).matrix(
+            engine = _frozen_index(corpus, patterns, metric=metric)
+            assert _values(engine) == SimilarityEstimator(corpus).matrix(
                 patterns, metric=metric
             )
 
     def test_unknown_metric_rejected(self, corpus, patterns):
         with pytest.raises(ValueError):
-            SimilarityMatrix(corpus, patterns, metric="M9")
+            _frozen_index(corpus, patterns, metric="M9")
         with pytest.raises(ValueError):
-            SimilarityMatrix(corpus, patterns).similarity(
+            _frozen_index(corpus, patterns).similarity(
                 patterns[0], patterns[1], metric="M9"
             )
 
     def test_callable_protocol(self, corpus, patterns):
-        engine = SimilarityMatrix(corpus, patterns, metric="M3")
+        engine = _frozen_index(corpus, patterns, metric="M3")
         assert engine(patterns[0], patterns[2]) == m3_joint_over_union(
             corpus, patterns[0], patterns[2]
         )
         assert len(engine) == 4
 
     def test_top_k(self, corpus, patterns):
-        engine = SimilarityMatrix(corpus, patterns, metric="M3")
+        engine = _frozen_index(corpus, patterns, metric="M3")
         # //b: sim 1/4 with //o, 1/2 with //e, 0 with //q.
         assert engine.top_k(0, 2) == [
             (2, pytest.approx(0.5)),
@@ -202,11 +216,11 @@ class TestSimilarityMatrix:
         ]
         with pytest.raises(ValueError):
             engine.top_k(0, 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(KeyError):
             engine.top_k(9, 1)
 
     def test_neighbors(self, corpus, patterns):
-        engine = SimilarityMatrix(corpus, patterns, metric="M3")
+        engine = _frozen_index(corpus, patterns, metric="M3")
         assert [index for index, _ in engine.neighbors(0, 0.25)] == [2, 1]
         assert engine.neighbors(0, 0.9) == []
         with pytest.raises(ValueError):
@@ -215,10 +229,10 @@ class TestSimilarityMatrix:
     def test_each_joint_pair_computed_at_most_once(self, corpus):
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        engine = SimilarityMatrix(counting, patterns, metric="M3")
-        engine.values
+        engine = _frozen_index(counting, patterns, metric="M3")
+        _values(engine)
         # Re-query everything; the memo must absorb all of it.
-        engine.values
+        _values(engine)
         engine.top_k(0, 10)
         engine.neighbors(3, 0.2)
         for p in patterns[:10]:
@@ -235,7 +249,7 @@ class TestSimilarityMatrix:
 
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        engine = SimilarityMatrix(counting, patterns, metric="M3")
+        engine = _frozen_index(counting, patterns, metric="M3")
         communities = agglomerative_clustering(
             patterns, engine, n_communities=8
         )
@@ -250,7 +264,7 @@ class TestSimilarityMatrix:
 
         patterns = _sixty_patterns()
         counting = CountingProvider(corpus)
-        engine = SimilarityMatrix(counting, patterns, metric="M3")
+        engine = _frozen_index(counting, patterns, metric="M3")
         leader_clustering(patterns, engine, threshold=0.5)
         leader_clustering(patterns, engine, threshold=0.3)
         assert counting.max_joint_calls_per_pair == 1
