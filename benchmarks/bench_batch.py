@@ -28,7 +28,7 @@ The headline claims asserted here:
 
 The standalone run prints a ``batch=…`` key=value line with the memo
 hit rate and batched-vs-sequential ops ratio at the largest skewed
-cell, which CI publishes as a step output::
+cell, which the CI smoke step repeats in its summary::
 
     PYTHONPATH=src python benchmarks/bench_batch.py --smoke
 """

@@ -335,7 +335,7 @@ def check_determinism(prepared, n_subscribers: int, n_brokers: int) -> None:
 
 
 def summary_line(rows: list[tuple[float, object, LatencyStats]]) -> str:
-    """One-line machine-readable digest (published as a CI step output)."""
+    """One-line machine-readable digest (repeated in the CI smoke summary)."""
     by_cell = {(rate, threshold): stats for rate, threshold, stats in rows}
     top_rate = max(rate for rate, _, _ in rows)
     baseline = by_cell[(top_rate, None)]
@@ -352,7 +352,7 @@ def summary_line(rows: list[tuple[float, object, LatencyStats]]) -> str:
 
 
 def scheduling_summary_line(rows: list[tuple[str, LatencyStats]]) -> str:
-    """Per-policy p99 digest (published as a CI step output)."""
+    """Per-policy p99 digest (repeated in the CI smoke summary)."""
     parts = []
     for name, stats in rows:
         high = stats.latency_by_class.get(HIGH_CLASS)

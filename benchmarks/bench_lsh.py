@@ -32,8 +32,8 @@ and the LSH cells run end-to-end through
 ``advertise(CommunityPolicy(candidates=...))`` to show interactive
 community formation at 10⁵.
 
-The standalone run prints an ``lsh=…`` key=value line which CI publishes
-as a step output::
+The standalone run prints an ``lsh=…`` key=value line which the CI
+smoke step repeats in its summary::
 
     PYTHONPATH=src python benchmarks/bench_lsh.py --smoke
 """

@@ -23,8 +23,8 @@ modes.  The headline claims asserted here:
 * trie wall-clock beats the linear scan at every size ≥ 10³.
 
 The standalone run prints a ``match_scaling=…`` key=value line with the
-trie-vs-linear match-ops ratio at the largest size, which CI publishes
-as a step output::
+trie-vs-linear match-ops ratio at the largest size, which the CI smoke
+step repeats in its summary::
 
     PYTHONPATH=src python benchmarks/bench_match_scaling.py --smoke
 """

@@ -334,7 +334,7 @@ def summary_line(
     fair_stats: LatencyStats,
     report,
 ) -> str:
-    """One-line machine-readable digest (published as a CI step output)."""
+    """One-line machine-readable digest (repeated in the CI smoke summary)."""
     by_cell = {(name, rate): stats for name, rate, stats in rows}
     top = max(rate for _, rate, _ in rows)
     baseline = by_cell[("unbounded", top)]

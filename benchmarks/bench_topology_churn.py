@@ -32,8 +32,8 @@ The headline claims asserted here:
   imprecise but unroutable, so real deployments cannot sit past the
   crossover anyway.)
 
-Also runnable standalone for a quick smoke check (used by CI; the
-``topology=`` summary line becomes a CI step output)::
+Also runnable standalone for a quick smoke check (used by CI, whose
+smoke step repeats the ``topology=`` summary line)::
 
     PYTHONPATH=src python benchmarks/bench_topology_churn.py --smoke
 """
@@ -224,7 +224,7 @@ def render(rows: list[CellResult]) -> str:
 
 
 def summary_line(rows: list[CellResult]) -> str:
-    """One-line digest published as a CI step output."""
+    """One-line digest, repeated in the CI smoke summary."""
     parts = [
         f"{cell.policy_name}@{cell.churn_rate:g}:"
         f"inc={cell.incremental_ads},rebuild={cell.rebuild_ads},"

@@ -66,10 +66,28 @@ non-matching pattern therefore collapses into its shared prefix.  This
 count is the filtering-cost unit
 :class:`~repro.routing.table.RoutingTable` reports in trie mode.
 
+The traversal follows a **match plan** cached on each spine node: its
+children grouped into (axis, label) sibling groups, each member carrying
+its required tags, branch constraints, accepting entries in gate-key
+order and whether it has children of its own.  A plan is built on the
+node's first visit and reused until the trie changes under it: ``add``
+and ``discard`` reset the plan of the root and of every node on the
+touched spine path, which covers every ``child_order``, ``accepts`` and
+``req_tags`` a mutation can change (destination sets are shared with
+the entries, so re-keying them needs no reset).  ``check()`` compares
+every cached plan with a fresh one.  A plan only removes interpreter
+work from a visit: groups, members and entries keep ``child_order`` and
+gate-key order, so every count is what a plan-free traversal charges.
+
 Document bookkeeping is not counted: building a document's
-:class:`PreparedDocument` (skeleton ids, label index, ``(parent,
-label)`` child index) costs zero trie operations, so a document costs
-the same operations whether it arrives raw or prepared.
+:class:`PreparedDocument` (skeleton ids and its three indexes: label →
+positions, label → {parent → children} for child steps, and one
+descendant-or-self bitmask per node, which turns the scope of a ``//``
+step into one int OR and its parent test into a bit test) costs zero
+trie operations, so a document costs the same operations whether it
+arrives raw or prepared.  A ``//`` constraint's self-descent through the
+document runs on an explicit stack, so no document is too deep to
+match.
 
 Batched matching
 ----------------
@@ -84,7 +102,8 @@ only existentially) — and branch satisfaction is memoised on
 ``(constraint id, skeleton key)`` instead of ``(constraint id, node
 position)``.  Structurally identical subtrees across the batch (common
 under the Zipfian generators) therefore hit the memo instead of being
-re-traversed; aliveness tests share per-tag-set entries, gates share
+re-traversed; aliveness tests share per-tag-set entries (one
+``{required tags: alive}`` map per document tag set), gates share
 per-root-key entries, and a document whose whole skeleton repeats
 costs zero trie operations.  ``match`` is the batch machinery at
 batch size one (a fresh pool per call), so the two paths cannot
@@ -93,12 +112,14 @@ drift.
 The per-document half of this is a :class:`PreparedDocument`, built by
 :func:`prepare` and independent of any trie or pool: the tree, its tag
 set, doc-local skeleton ids with the table of its distinct shapes, and
-the lazily built label and child indexes.  A pool binds it through a
-thin per-pool state holding only pool skeleton keys, the tag-set key
-and the op counter: the first document of a pool adopts its doc-local
-ids as-is (a fresh interner would assign exactly those), later ones are
-translated through the pool interner over their distinct shapes only,
-and the pool never writes into the prepared document.  So one
+the lazily built indexes.  A pool binds it through a thin per-pool
+state holding only pool skeleton keys, the tag-set key and the op
+counter.  The pool interner is lazy: the first document of a pool
+adopts its doc-local ids as-is (a fresh interner would assign exactly
+those) without copying its shapes, so a drain of one document interns
+nothing; the copy is made only when a second document binds, which is
+then translated through the interner over its distinct shapes only.
+The pool never writes into the prepared document.  So one
 preparation serves every broker a document visits:
 :meth:`~repro.routing.overlay.BrokerOverlay.route` prepares once per
 call, and :class:`~repro.routing.engine.DeliveryEngine` prepares a
@@ -132,7 +153,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 from repro.core.labels import DESCENDANT, WILDCARD, is_tag
 from repro.core.pattern import PatternNode, TreePattern
@@ -260,6 +281,7 @@ class _SpineNode:
         "refs",
         "own_tags",
         "req_tags",
+        "plan",
     )
 
     def __init__(
@@ -292,6 +314,9 @@ class _SpineNode:
         #: killed for one operation.  Maintained by
         #: :meth:`PatternTrie._recompute_req` on every add / discard.
         self.req_tags = own
+        #: This node's :func:`_plan_of`, built on first visit; ``None``
+        #: once an add / discard touches this node or a child.
+        self.plan: tuple | None = None
 
 
 class _Entry:
@@ -324,6 +349,48 @@ class _Entry:
         self.destinations = destinations
 
 
+def _plan_of(node: _SpineNode) -> tuple:
+    """*node*'s match plan: its ``child_order`` as sibling groups.
+
+    Each group is ``(axis, label, members)`` over a maximal run of
+    children sharing that step, since they share one candidate scan.
+    Each member is ``(req_tags, branches, accepts, has_children,
+    child)`` with ``accepts`` the child's ``(gates, destinations,
+    pattern)`` in sorted gate-key order.  The plan reads every
+    ``child_order``, ``accepts`` and ``req_tags`` a visit of *node*
+    needs; destination sets are shared, not copied, so re-keying them
+    in place never stales a plan.
+    """
+    groups: list[tuple[str, str, list[tuple]]] = []
+    for child in node.child_order:
+        member = (
+            child.req_tags,
+            child.branches,
+            tuple(
+                (entry.gates, entry.destinations, entry.pattern)
+                for _, entry in sorted(child.accepts.items())
+            ),
+            bool(child.child_order),
+            child,
+        )
+        if groups and groups[-1][:2] == (child.axis, child.label):
+            groups[-1][2].append(member)
+        else:
+            groups.append((child.axis, child.label, [member]))
+    return tuple((axis, label, tuple(members)) for axis, label, members in groups)
+
+
+#: The :meth:`PreparedDocument.children_by_label` entry of a label that
+#: no non-root node carries.
+_NO_PARENTS: dict[int, list[int]] = {}
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of *mask*'s set bits, ascending."""
+    bits = bin(mask)[:1:-1]  # least significant first, "0b" dropped
+    return [position for position, bit in enumerate(bits) if bit == "1"]
+
+
 class _BatchMemo:
     """The shared evaluation pool of one batch (or one ``match`` call).
 
@@ -338,6 +405,7 @@ class _BatchMemo:
 
     __slots__ = (
         "stride",
+        "first",
         "skeleton_keys",
         "tag_keys",
         "memo",
@@ -351,8 +419,11 @@ class _BatchMemo:
 
     def __init__(self, stride: int) -> None:
         self.stride = stride
+        #: The first document bound; the pool's skeleton keys for its
+        #: shapes are its doc-local ids.
+        self.first: PreparedDocument | None = None
         #: Interner: dedup-canonical ``(label, child skeleton keys)`` →
-        #: dense skeleton key.
+        #: dense skeleton key.  Empty until a second document binds.
         self.skeleton_keys: dict[tuple, int] = {}
         #: Interner: document tag set → dense key.
         self.tag_keys: dict[frozenset, int] = {}
@@ -362,10 +433,11 @@ class _BatchMemo:
         self.gate_cache: dict[int, bool] = {}
         #: ``tag-set key * stride + constraint id`` → constraint alive.
         self.alive: dict[int, bool] = {}
-        #: ``(required tags, tag-set key)`` → subtrie alive.
-        self.alive_req: dict[tuple[frozenset, int], bool] = {}
-        #: Root skeleton key → the whole document's match outcome.
-        self.results: dict[int, tuple[frozenset, frozenset]] = {}
+        #: tag-set key → {required tags → subtrie alive}.
+        self.alive_req: dict[int, dict[frozenset, bool]] = {}
+        #: Root skeleton key → the whole document's match outcome (the
+        #: first such document's result sets, copied on every hit).
+        self.results: dict[int, tuple[set, set]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -382,13 +454,15 @@ class PreparedDocument:
 
     Holds everything matching needs that depends on the document alone:
     the tree, its tag set, its doc-local skeleton ids and the table of
-    its distinct skeleton shapes, plus the label and ``(parent, label)``
-    child indexes.  Nothing here depends on a trie or a memo pool, so a
-    document routed through many brokers — or matched twice in one
-    batch — is prepared once and read everywhere.  The skeleton is
-    built eagerly; the two indexes are built lazily, each written once.
-    Building any of it is document bookkeeping, never counted as a trie
-    operation.  Obtain one through :func:`prepare`.
+    its distinct skeleton shapes, plus three lazy indexes —
+    label → positions, label → {parent → children} for child steps, and
+    one descendant-or-self bitmask per node for ``//`` steps.  Nothing
+    here depends on a trie or a memo pool, so a document routed through
+    many brokers — or matched twice in one batch — is prepared once and
+    read everywhere.  The skeleton is built eagerly; each index is built
+    on first use and written once.  Building any of it is document
+    bookkeeping, never counted as a trie operation.  Obtain one through
+    :func:`prepare`.
     """
 
     __slots__ = (
@@ -398,7 +472,8 @@ class PreparedDocument:
         "skel",
         "shapes",
         "_by_label",
-        "_kids_by_label",
+        "_children_by_label",
+        "_descendant_masks",
     )
 
     def __init__(self, tree: XMLTree) -> None:
@@ -431,10 +506,11 @@ class PreparedDocument:
         #: ``shapes[i]``, in first-seen order of the reverse scan.
         self.shapes: tuple[tuple[str, tuple[int, ...]], ...] = tuple(interner)
         self._by_label: dict[str, list[int]] | None = None
-        self._kids_by_label: dict[tuple[int, str], list[int]] | None = None
+        self._children_by_label: dict[str, dict[int, list[int]]] | None = None
+        self._descendant_masks: list[int] | None = None
 
     def label_index(self) -> dict[str, list[int]]:
-        """label → positions, built on first use."""
+        """label → positions in ascending order, built on first use."""
         if self._by_label is None:
             index: dict[str, list[int]] = {}
             for position, label in enumerate(self.tree.labels):
@@ -442,19 +518,33 @@ class PreparedDocument:
             self._by_label = index
         return self._by_label
 
-    def child_index(self) -> dict[tuple[int, str], list[int]]:
-        """(parent, label) → children, built on first use like
-        :meth:`label_index` and amortised across every table."""
-        if self._kids_by_label is None:
-            index: dict[tuple[int, str], list[int]] = {}
+    def children_by_label(self) -> dict[str, dict[int, list[int]]]:
+        """label → {parent → its children with that label}, children in
+        ascending order; built on first use like :meth:`label_index`."""
+        if self._children_by_label is None:
+            index: dict[str, dict[int, list[int]]] = {}
             labels = self.tree.labels
             for position, parent in enumerate(self.tree.parents):
                 if parent >= 0:
-                    index.setdefault(
-                        (parent, labels[position]), []
+                    index.setdefault(labels[position], {}).setdefault(
+                        parent, []
                     ).append(position)
-            self._kids_by_label = index
-        return self._kids_by_label
+            self._children_by_label = index
+        return self._children_by_label
+
+    def descendant_masks(self) -> list[int]:
+        """Per position, the bitmask of its descendants-or-self (bit
+        ``i`` is position ``i``); built bottom-up on first use."""
+        if self._descendant_masks is None:
+            children = self.tree.children
+            masks = [0] * self.n
+            for position in reversed(range(self.n)):
+                mask = 1 << position
+                for kid in children[position]:
+                    mask |= masks[kid]
+                masks[position] = mask
+            self._descendant_masks = masks
+        return self._descendant_masks
 
     def __repr__(self) -> str:
         return f"PreparedDocument(nodes={self.n}, shapes={len(self.shapes)})"
@@ -474,27 +564,42 @@ class _MatchState:
     """One prepared document bound to a shared :class:`_BatchMemo`.
 
     Holds only what depends on the pool: the document's pool skeleton
-    keys, its tag-set key and the op counter.  Everything that depends
-    on the document alone lives in the :class:`PreparedDocument`, which
-    the pool reads but never writes.  A fresh pool's interner would
-    assign exactly the doc-local skeleton ids in the same order, so the
-    first document of a pool adopts them as-is; later documents are
-    translated through the pool interner over their distinct shapes
-    only.  Like preparation, this is bookkeeping, not trie work.
+    keys, its tag-set key with that key's aliveness memo, and the op
+    counter.  Everything that depends on the document alone lives in
+    the :class:`PreparedDocument`, which the pool reads but never
+    writes.  A fresh pool's interner would assign exactly the doc-local
+    skeleton ids in the same order, so the first document of a pool
+    adopts them as-is and the pool's interner stays empty: a pool of one
+    document copies nothing.  When a second document binds, the first
+    one's shapes are entered under their ids, and the newcomer is
+    translated through the interner over its distinct shapes only.
+    Like preparation, this is bookkeeping, not trie work.
     """
 
-    __slots__ = ("doc", "pool", "skel", "root_key", "tags_key", "ops")
+    __slots__ = (
+        "doc",
+        "pool",
+        "skel",
+        "root_key",
+        "tags_key",
+        "alive_req",
+        "ops",
+    )
 
     def __init__(self, doc: PreparedDocument, pool: _BatchMemo) -> None:
         self.doc = doc
         self.pool = pool
         self.tags_key = pool.tag_key(doc.tag_set)
-        skeleton_keys = pool.skeleton_keys
+        self.alive_req = pool.alive_req.setdefault(self.tags_key, {})
         skel: Sequence[int]
-        if not skeleton_keys:
-            skeleton_keys.update(zip(doc.shapes, range(len(doc.shapes))))
+        first = pool.first
+        if first is None:
+            pool.first = doc
             skel = doc.skel
         else:
+            skeleton_keys = pool.skeleton_keys
+            if not skeleton_keys:
+                skeleton_keys.update(zip(first.shapes, range(len(first.shapes))))
             to_pool: list[int] = []
             for label, kids in doc.shapes:
                 shape = (
@@ -602,6 +707,8 @@ class PatternTrie:
         # initialised before this child existed, so no early stop here.
         for spine_node in reversed(path):
             spine_node.req_tags = self._req_of(spine_node)
+            spine_node.plan = None
+        self._root.plan = None
 
     def discard(self, pattern: TreePattern, destination: Destination) -> None:
         """Retire *pattern*'s active registration for *destination*."""
@@ -615,7 +722,9 @@ class PatternTrie:
             self._release(gate)
         node = entry.node
         survivor: _SpineNode | None = None
+        self._root.plan = None
         while node is not self._root:
+            node.plan = None
             node.refs -= 1
             parent = node.parent
             assert parent is not None
@@ -765,95 +874,85 @@ class PatternTrie:
             pool.misses += 1
             destinations = set()
             patterns: set[TreePattern] = set()
-            self._visit_children(
-                self._root, (), state, destinations, patterns
-            )
-            pool.results[state.root_key] = (
-                frozenset(destinations),
-                frozenset(patterns),
-            )
+            self._visit(self._root, (), state, destinations, patterns)
+            pool.results[state.root_key] = (destinations, patterns)
             total += state.ops
             results.append(TrieMatch(destinations, patterns, state.ops))
         return BatchMatch(results, total, pool.hits, pool.misses)
 
-    def _visit_children(
+    def _visit(
         self,
-        parent: _SpineNode,
+        node: _SpineNode,
         anchors: Sequence[int],
         state: _MatchState,
         destinations: set,
         patterns: set,
     ) -> None:
-        # ``child_order`` keeps same-(axis, label) siblings adjacent, so
-        # the anchor-candidate scan is generated once per group and only
-        # the (memoised) branch constraints distinguish siblings.  The
-        # cache shares the descendant scope across all groups of this
-        # visit.
-        order = parent.child_order
-        index = 0
-        total = len(order)
-        cache: dict = {}
-        while index < total:
-            axis = order[index].axis
-            label = order[index].label
-            stop = index + 1
-            while (
-                stop < total
-                and order[stop].axis == axis
-                and order[stop].label == label
-            ):
-                stop += 1
+        """Match *node*'s children from *anchors*, following its plan."""
+        plan = node.plan
+        if plan is None:
+            plan = node.plan = _plan_of(node)
+        pool = state.pool
+        alive_req = state.alive_req
+        tag_set = state.doc.tag_set
+        # The descendant-or-self scope of *anchors*, shared by every
+        # ``//`` group of this visit; 0 until one needs it (a visit that
+        # reaches a ``//`` step always has anchors).
+        scope = 0
+        for axis, label, members in plan:
             # One op per distinct (requirement set, document tag set)
             # across the whole batch kills every subtrie whose required
             # tags the document lacks — before any candidate scan is
             # paid.
-            members: list[_SpineNode] = []
-            pool = state.pool
-            alive_req = pool.alive_req
-            tags_key = state.tags_key
-            for member in order[index:stop]:
-                req_key = (member.req_tags, tags_key)
-                alive = alive_req.get(req_key)
+            alive_members: list[tuple] = []
+            for member in members:
+                req_tags = member[0]
+                alive = alive_req.get(req_tags)
                 if alive is None:
                     pool.misses += 1
                     state.ops += 1
-                    alive = member.req_tags <= state.doc.tag_set
-                    alive_req[req_key] = alive
+                    alive = req_tags <= tag_set
+                    alive_req[req_tags] = alive
                 else:
                     pool.hits += 1
                 if alive:
-                    members.append(member)
-            if not members:
-                index = stop
+                    alive_members.append(member)
+            if not alive_members:
                 continue
-            candidates = self._candidates(axis, label, anchors, state, cache)
-            if candidates:
-                for member in members:
-                    if member.branches:
-                        member_anchors: Sequence[int] = [
-                            anchor
-                            for anchor in candidates
-                            if all(
-                                self._branch_sat(branch, anchor, state)
-                                for branch in member.branches
-                            )
-                        ]
-                    else:
-                        member_anchors = candidates
+            candidates: Sequence[int]
+            if axis == _DESCENDANT:
+                if not scope:
+                    masks = state.doc.descendant_masks()
+                    for anchor in anchors:
+                        scope |= masks[anchor]
+                candidates = self._in_scope(label, anchors, scope, state)
+            else:
+                candidates = self._candidates(axis, label, anchors, state)
+            if not candidates:
+                continue
+            for _, branches, accepts, has_children, child in alive_members:
+                member_anchors: Sequence[int] = candidates
+                if branches:
+                    member_anchors = []
+                    for anchor in candidates:
+                        for branch in branches:
+                            if not self._branch_sat(branch, anchor, state):
+                                break
+                        else:
+                            member_anchors.append(anchor)
                     if not member_anchors:
                         continue
-                    for gate_key in sorted(member.accepts):
-                        entry = member.accepts[gate_key]
-                        if all(
-                            self._gate_sat(gate, state)
-                            for gate in entry.gates
-                        ):
-                            destinations.update(entry.destinations)
-                            patterns.add(entry.pattern)
-                    self._visit_children(
-                        member, member_anchors, state, destinations, patterns
+                for gates, entry_destinations, pattern in accepts:
+                    for gate in gates:
+                        if not self._gate_sat(gate, state):
+                            break
+                    else:
+                        destinations.update(entry_destinations)
+                        patterns.add(pattern)
+                if has_children:
+                    self._visit(
+                        child, member_anchors, state, destinations, patterns
                     )
-            index = stop
 
     def _candidates(
         self,
@@ -861,72 +960,74 @@ class PatternTrie:
         label: str,
         anchors: Sequence[int],
         state: _MatchState,
-        cache: dict,
     ) -> Sequence[int]:
-        tree = state.doc.tree
-        doc_labels = tree.labels
+        """Document nodes a ``self`` / ``anywhere`` / ``child`` step
+        reaches from *anchors*: for a child step, each anchor's children
+        in turn, in document order."""
+        doc = state.doc
+        tree = doc.tree
         if axis == _SELF:
             state.ops += 1
             root = tree.root
-            if label != WILDCARD and doc_labels[root] != label:
+            if label != WILDCARD and tree.labels[root] != label:
                 return ()
             return (root,)
         # An exact label is guaranteed present here: a member whose
         # required tags include it survived the aliveness filter.
         if axis == _ANYWHERE:
             if label == WILDCARD:
-                candidates: Sequence[int] = range(state.doc.n)
+                candidates: Sequence[int] = range(doc.n)
             else:
-                candidates = state.doc.label_index().get(label, ())
+                candidates = doc.label_index().get(label, ())
             state.ops += len(candidates)
             return candidates
-        if axis == _CHILD:
-            # One op per anchor looked up, one per candidate surfaced —
-            # the (parent, label) index is amortised across the table.
-            found: list[int] = []
-            if label == WILDCARD:
-                doc_children = tree.children
-                for anchor in anchors:
-                    state.ops += 1
-                    kids = doc_children[anchor]
-                    state.ops += len(kids)
-                    found.extend(kids)
-            else:
-                child_index = state.doc.child_index()
-                for anchor in anchors:
-                    state.ops += 1
-                    kids = child_index.get((anchor, label))
-                    if kids:
-                        state.ops += len(kids)
-                        found.extend(kids)
-            return found
-        # _DESCENDANT: child of any descendant-or-self of an anchor.  The
-        # scope is likewise computed once per visit and shared.
-        scope = cache.get("scope")
-        if scope is None:
-            scope = set()
-            stack = list(anchors)
-            doc_children = tree.children
-            while stack:
-                here = stack.pop()
-                if here in scope:
-                    continue
-                scope.add(here)
-                stack.extend(doc_children[here])
-            cache["scope"] = scope
-            cache["scope_sorted"] = sorted(scope)
-        parents = tree.parents
+        # _CHILD: one op per anchor looked up, one per candidate
+        # surfaced — the index is amortised across the table.  A single
+        # anchor's children are returned as they sit in the index.
+        lookup: Callable[[int], Sequence[int] | None]
         if label == WILDCARD:
-            # The scope is closed under children, so every child of a
-            # scope node is itself in scope: scan the scope, not the
-            # whole document.
-            pool: Sequence[int] = cache["scope_sorted"]
+            lookup = tree.children.__getitem__
         else:
-            pool = state.doc.label_index().get(label, ())
+            lookup = doc.children_by_label().get(label, _NO_PARENTS).get
+        if len(anchors) == 1:
+            kids: Sequence[int] = lookup(anchors[0]) or ()
+            state.ops += 1 + len(kids)
+            return kids
         found: list[int] = []
-        for position in pool:
-            state.ops += 1
-            if parents[position] in scope:
+        for group in map(lookup, anchors):
+            if group:
+                found += group
+        state.ops += len(anchors) + len(found)
+        return found
+
+    def _in_scope(
+        self,
+        label: str,
+        anchors: Sequence[int],
+        scope: int,
+        state: _MatchState,
+    ) -> list[int]:
+        """Document nodes a ``//`` step reaches from *anchors*: those
+        labelled *label* whose parent lies in *scope*, the anchors'
+        descendant-or-self mask, in ascending order — one op per node
+        examined.  A wildcard examines the whole scope; since the scope
+        is closed under children, its nodes with a parent outside it
+        are anchors."""
+        parents = state.doc.tree.parents
+        if label == WILDCARD:
+            state.ops += scope.bit_count()
+            inside = scope
+            for anchor in anchors:
+                parent = parents[anchor]
+                if parent < 0 or not scope >> parent & 1:
+                    inside &= ~(1 << anchor)
+            return _set_bits(inside)
+        positions = state.doc.label_index().get(label, ())
+        state.ops += len(positions)
+        found: list[int] = []
+        for position in positions:
+            parent = parents[position]
+            if parent >= 0 and scope >> parent & 1:
                 found.append(position)
         return found
 
@@ -934,10 +1035,7 @@ class PatternTrie:
         """(T, t) ⊨ Subtree(node) — the exact :class:`PatternMatcher`
         semantics, memoised on the document node's skeleton key: shared
         across every pattern in the trie *and* every structurally equal
-        subtree in the batch.  The cycle-safe placeholder below stays
-        sound under key sharing because a strict document descendant has
-        a strictly smaller dedup-canonical height than its ancestor, so
-        the two can never intern to the same skeleton key."""
+        subtree in the batch."""
         pool = state.pool
         key = state.skel[t] * pool.stride + node.node_id
         memo = pool.memo
@@ -949,32 +1047,87 @@ class PatternTrie:
             return False
         pool.misses += 1
         state.ops += 1
-        tree = state.doc.tree
         label = node.label
-        kids = node.children
-        result = False
         if label == DESCENDANT:
-            memo[key] = False  # cycle-safe placeholder; tree has no cycles
-            result = all(self._branch_sat(ku, t, state) for ku in kids)
-            if not result:
-                result = any(
-                    self._branch_sat(node, kid, state)
-                    for kid in tree.children[t]
-                )
-        elif label == WILDCARD:
-            result = any(
-                all(self._branch_sat(ku, kid, state) for ku in kids)
-                for kid in tree.children[t]
-            )
-        else:
-            doc_labels = tree.labels
-            result = any(
-                doc_labels[kid] == label
-                and all(self._branch_sat(ku, kid, state) for ku in kids)
-                for kid in tree.children[t]
-            )
+            return self._descend(node, t, key, state)
+        tree = state.doc.tree
+        kids = node.children
+        doc_labels = tree.labels
+        result = False
+        for kid in tree.children[t]:
+            if label != WILDCARD and doc_labels[kid] != label:
+                continue
+            for ku in kids:
+                if not self._branch_sat(ku, kid, state):
+                    break
+            else:
+                result = True
+                break
         memo[key] = result
         return result
+
+    def _descend(
+        self, node: _BranchNode, t: int, key: int, state: _MatchState
+    ) -> bool:
+        """A ``//`` constraint at *t*, whose memo miss is already paid:
+        its children hold at *t* itself, or the constraint holds at some
+        child of *t*.
+
+        The self-descent runs on an explicit stack of open frames, so a
+        document deeper than the interpreter's recursion limit is fine;
+        it makes the lookups and charges of the recursive definition, in
+        its order, and leaves the same memo entries.  Each frame's memo
+        entry holds a ``False``
+        placeholder while the frame is open.  That stays sound under key
+        sharing because a strict document descendant has a strictly
+        smaller dedup-canonical height than its ancestor, so the two can
+        never intern to the same skeleton key.
+        """
+        pool = state.pool
+        memo = pool.memo
+        skel = state.skel
+        stride = pool.stride
+        node_id = node.node_id
+        kids = node.children
+        doc_children = state.doc.tree.children
+        frames: list[tuple[int, Iterator[int]]] = []
+        while True:
+            # Open a frame for (node, t): try node's children at t.
+            memo[key] = False
+            for ku in kids:
+                if not self._branch_sat(ku, t, state):
+                    break
+            else:
+                memo[key] = True
+                for open_key, _ in frames:
+                    memo[open_key] = True
+                return True
+            frames.append((key, iter(doc_children[t])))
+            # Find the next child to open a frame for; a child that is
+            # already decided settles without one, and an exhausted frame
+            # closes with its ``False`` placeholder as the answer.
+            while frames:
+                for kid in frames[-1][1]:
+                    kid_key = skel[kid] * stride + node_id
+                    cached = memo.get(kid_key)
+                    if cached is None:
+                        if not state.is_alive(node):
+                            continue
+                        t, key = kid, kid_key
+                        break
+                    pool.hits += 1
+                    if cached:
+                        for open_key, _ in frames:
+                            memo[open_key] = True
+                        return True
+                else:
+                    frames.pop()
+                    continue
+                break
+            else:
+                return False
+            pool.misses += 1
+            state.ops += 1
 
     def _gate_sat(self, gate: _BranchNode, state: _MatchState) -> bool:
         """Root semantics for a non-spine root child, cached per root
@@ -992,31 +1145,32 @@ class PatternTrie:
             return False
         pool.misses += 1
         state.ops += 1
-        tree = state.doc.tree
+        doc = state.doc
         label = gate.label
+        result = False
         if label == DESCENDANT:
             target = gate.children[0]
+            positions: Sequence[int]
             if target.label == WILDCARD:
-                pool: Sequence[int] = range(state.doc.n)
+                positions = range(doc.n)
             else:
-                pool = state.doc.label_index().get(target.label, ())
-            result = False
-            for position in pool:
+                positions = doc.label_index().get(target.label, ())
+            for position in positions:
                 state.ops += 1
-                if all(
-                    self._branch_sat(ku, position, state)
-                    for ku in target.children
-                ):
+                for ku in target.children:
+                    if not self._branch_sat(ku, position, state):
+                        break
+                else:
                     result = True
                     break
         else:
-            root = tree.root
-            if label != WILDCARD and tree.labels[root] != label:
-                result = False
-            else:
-                result = all(
-                    self._branch_sat(ku, root, state) for ku in gate.children
-                )
+            root = doc.tree.root
+            if label == WILDCARD or doc.tree.labels[root] == label:
+                result = True
+                for ku in gate.children:
+                    if not self._branch_sat(ku, root, state):
+                        result = False
+                        break
         gate_cache[key] = result
         return result
 
@@ -1062,6 +1216,9 @@ class PatternTrie:
                 node.child_order
             ), "child_order not degree-sorted"
             assert set(node.children.values()) == set(node.child_order)
+            assert node.plan is None or node.plan == _plan_of(node), (
+                "stale match plan"
+            )
             for key, child in node.children.items():
                 assert child.child_key == key and child.parent is node
                 stack.append(child)

@@ -126,7 +126,8 @@ def snapshot(prepared):
         prepared.shapes,
         prepared.tag_set,
         prepared.label_index(),
-        prepared.child_index(),
+        prepared.children_by_label(),
+        prepared.descendant_masks(),
     )
 
 

@@ -3,15 +3,27 @@
 The property suites (``test_trie_properties``) pin the trie against the
 per-pattern oracle on random workloads; here the structure itself is
 exercised: prefix sharing, degree-sorted branch order, operation
-accounting, and the incremental-maintenance invariants under churn.
+accounting, the incremental-maintenance invariants under churn, a golden
+counter digest on a generated deployment, and documents deeper than the
+interpreter's recursion limit.
 """
+
+import hashlib
 
 import pytest
 
 from repro.core.pattern_parser import parse_xpath
-from repro.routing.trie import PatternTrie, TrieMatch
+from repro.dtd.builtin import builtin_dtd
+from repro.experiments.config import ExperimentConfig
+from repro.generators.docgen import DocumentGenerator
+from repro.generators.workload import WorkloadBuilder
+from repro.routing.overlay import BrokerOverlay
+from repro.routing.policy import PerSubscriptionPolicy
+from repro.routing.trie import PatternTrie, TrieMatch, prepare
+from repro.xmltree.corpus import DocumentCorpus
 from repro.xmltree.matcher import matches
 from repro.xmltree.parser import parse_xml
+from repro.xmltree.tree import XMLTreeBuilder
 
 
 def doc(markup: str):
@@ -266,6 +278,18 @@ class TestIncrementalMaintenance:
         }
         trie.check()
 
+    def test_mutations_reset_cached_plans_on_their_path(self):
+        trie = PatternTrie()
+        trie.add(parse_xpath("/a/b/c"), "link-1")
+        document = doc("<a><b><c/><d/></b></a>")
+        trie.match(document)  # caches the plans along /a/b
+        trie.add(parse_xpath("/a/b/d"), "link-2")
+        trie.check()
+        assert trie.match(document).destinations == {"link-1", "link-2"}
+        trie.discard(parse_xpath("/a/b/c"), "link-1")
+        trie.check()
+        assert trie.match(document).destinations == {"link-2"}
+
     def test_discard_unknown_pattern_raises(self):
         trie = PatternTrie()
         with pytest.raises(KeyError):
@@ -281,3 +305,100 @@ class TestIncrementalMaintenance:
         trie.check()
         # /a/b is still active: step 4 registered it for link-1 too.
         assert parse_xpath("/a/b") in trie
+
+
+def deployment_counter_digest() -> str:
+    """sha256 over every broker trie's counters on a generated NITF
+    deployment: 60 stream documents, 60 positive patterns, a 6-broker
+    random tree under per-subscription advertisement.
+
+    The patterns reach the ``//*``, descendant, wildcard, branch and
+    gate paths of the kernel.  Per broker the digest holds ``match()``
+    of every document (operations, sorted destinations, sorted
+    patterns) and one ``match_batch`` over 20 prepared documents
+    (operations, memo hits and misses, per-document operations).
+    """
+    config = ExperimentConfig.quick("nitf")
+    dtd = builtin_dtd("nitf")
+    documents = list(
+        DocumentGenerator(dtd, seed=2007, config=config.doc_config).stream(60)
+    )
+    workload = WorkloadBuilder(
+        dtd,
+        DocumentCorpus(documents[:30]),
+        seed=2008,
+        config=config.pattern_config,
+    ).build(n_positive=60, n_negative=0)
+    overlay = BrokerOverlay.random_tree(6, seed=11)
+    overlay.attach_round_robin(workload.positive)
+    overlay.advertise(PerSubscriptionPolicy())
+    records: list[tuple] = []
+    for broker_id in sorted(overlay.brokers):
+        trie = overlay.brokers[broker_id].table._trie
+        for document in documents:
+            result = trie.match(document)
+            records.append(
+                (
+                    broker_id,
+                    result.operations,
+                    sorted(result.destinations),
+                    sorted(str(pattern) for pattern in result.patterns),
+                )
+            )
+        batch = trie.match_batch([prepare(d) for d in documents[:20]])
+        records.append(
+            (
+                broker_id,
+                batch.operations,
+                batch.memo_hits,
+                batch.memo_misses,
+                [result.operations for result in batch.results],
+            )
+        )
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+#: :func:`deployment_counter_digest` as cut before the matching plans
+#: were compiled; any change to traversal or candidate order, or to an
+#: ``ops``/``hits``/``misses`` increment, moves it.
+GOLDEN_DEPLOYMENT_DIGEST = (
+    "dd8d87143fd9ddc429dd411d59508a2cc4bad5421db9a73c17dad73356c8c029"
+)
+
+
+class TestGoldenCounters:
+    def test_deployment_counters_are_pinned(self):
+        assert deployment_counter_digest() == GOLDEN_DEPLOYMENT_DIGEST
+
+
+def deep_chain(depth: int):
+    """``a`` nested *depth* deep with a ``b`` leaf at the bottom; the
+    root ``a`` also holds a ``c`` leaf after the chain."""
+    builder = XMLTreeBuilder()
+    top = node = builder.add("a")
+    for _ in range(depth - 1):
+        node = builder.add("a", node)
+    builder.add("b", node)
+    builder.add("c", top)
+    return builder.build(doc_id=0)
+
+
+class TestDeepDocuments:
+    DEPTH = 10_000
+
+    def test_deep_chain_routes_to_its_subscriber(self):
+        overlay = BrokerOverlay.chain(2)
+        subscriber = overlay.attach(1, parse_xpath("/a[c][.//a/b]"))
+        overlay.advertise(PerSubscriptionPolicy())
+        delivered, _, _ = overlay.route(deep_chain(self.DEPTH), 0)
+        assert delivered == {subscriber}
+
+    @pytest.mark.parametrize(
+        "text, extra", [("/a[c][.//a/b]", 5), ("/a[c][.//*/b]", 6)]
+    )
+    def test_self_descent_costs_three_ops_per_level(self, text, extra):
+        trie = PatternTrie()
+        trie.add(parse_xpath(text), "link-1")
+        result = trie.match(deep_chain(self.DEPTH))
+        assert result.destinations == {"link-1"}
+        assert result.operations == 3 * self.DEPTH + extra

@@ -4,8 +4,9 @@ Three layers, each on random workloads:
 
 * **trie vs matcher** — ``PatternTrie.match`` returns exactly the
   patterns the memoised :class:`PatternMatcher` accepts, across add /
-  discard churn, with the maintenance invariants (``check()``) audited
-  after every mutation;
+  discard churn, with the maintenance invariants (``check()``, cached
+  match plans included) audited after every mutation and the churned
+  trie's batch results and counters equal to a fresh build's;
 * **table, both modes** — ``RoutingTable.destinations_for`` answers
   identically in trie and linear mode on the *same* table (both
   structures are always maintained) across add / remove / surgery
@@ -85,7 +86,14 @@ class TestTrieVersusMatcher:
                     continue
                 active.append((pattern, destination))
                 trie.add(pattern, destination)
+            # check() also compares every cached match plan with a fresh
+            # one; the batch below builds the plans the next mutation
+            # must reset.
             trie.check()
+            fresh = PatternTrie()
+            for registration in active:
+                fresh.add(*registration)
+            assert trie.match_batch(documents) == fresh.match_batch(documents)
         for document in documents:
             expected = {
                 destination
